@@ -238,14 +238,17 @@ struct SweepResult
  * Run every workload under every column of the sweep grid.
  *
  * When the traversal tape is enabled (SMS_TRAVERSAL_TAPE, default on),
- * the sweep runs in two phases per (scene, traversal variant) group —
- * columns sharing a node layout and ray ordering record the same
- * functional traversal, so they share one tape: phase A executes each
- * group's first cell once, recording the traversal into the group's
- * tape (or replays a tape loaded from the workload cache in disk
- * mode); phase B replays every remaining cell of the group from that
- * tape with zero geometry work. Replay is counter-identical to
- * execution, so the result grid does not depend on the tape mode.
+ * cells share one tape per (scene, traversal variant) group — columns
+ * sharing a node layout and ray ordering record the same functional
+ * traversal. In disk mode every group's tape is first loaded from the
+ * workload cache where a valid one exists. A group without one has its
+ * first cell execute once, recording the traversal into the tape; the
+ * group's other cells replay it with zero geometry work. All cells run
+ * from one ready queue with no phase barrier: a replay cell is ready as
+ * soon as its tape exists, recording cells go first in grid order, and
+ * among ready replays the largest tape (the costliest scene) goes
+ * first. Replay is counter-identical to execution, so the result grid
+ * depends on neither the tape mode nor the schedule.
  *
  * Two orthogonal reducers run before any cell simulates. When a shard
  * identity is active (sweepShardSpec()), only the owned cells of the
@@ -254,7 +257,7 @@ struct SweepResult
  * first probed in the result cache — hits are deserialized instead of
  * simulated (the simulator is deterministic, so the cached counters
  * are the ones simulation would produce), and simulated cells are
- * stored back. The tape phases then cover only the owned cache-miss
+ * stored back. The ready queue then covers only the owned cache-miss
  * cells; a fully warm sweep performs zero simulateJobs() calls.
  *
  * @param threads worker threads for the grid (0 = hardware default);
@@ -408,113 +411,107 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
             threads);
     }
 
-    // The cells still to simulate: owned and not served by the cache.
-    std::vector<std::vector<size_t>> todo(workloads.size());
-    size_t missing = 0;
-    for (size_t s = 0; s < workloads.size(); ++s) {
-        for (size_t c = 0; c < num_configs; ++c)
-            if (owned(s, c) &&
-                sweep.cell_origin[s][c] != CellOrigin::CacheHit)
-                todo[s].push_back(c);
-        missing += todo[s].size();
-    }
-
-    // Tape sharing is per (scene, traversal variant): columns with a
-    // different node layout or ray ordering record a different
-    // functional traversal and cannot replay each other's tape.
+    // The cells still to simulate, in grid order: owned and not served
+    // by the cache. Tape sharing is per (scene, traversal variant):
+    // columns with a different node layout or ray ordering record a
+    // different functional traversal and cannot replay each other's
+    // tape. A group's lead is its first cell, which records the tape
+    // when none loads from disk.
     struct TapeGroup
     {
         size_t scene;
-        size_t lead;              ///< column that records the tape
-        std::vector<size_t> rest; ///< columns replaying the tape
+        TraversalVariant variant;
+        size_t lead; ///< index in `cells` of the group's first cell
+        size_t size; ///< cells sharing the tape
+    };
+    struct Cell
+    {
+        size_t group;
+        size_t column;
     };
     std::vector<TapeGroup> groups;
+    std::vector<Cell> cells;
     size_t max_group = 0;
     for (size_t s = 0; s < workloads.size(); ++s) {
         size_t first_group = groups.size();
-        for (size_t c : todo[s]) {
-            uint64_t digest = columns[c].variant().digest();
-            TapeGroup *group = nullptr;
-            for (size_t g = first_group; g < groups.size(); ++g)
-                if (columns[groups[g].lead].variant().digest() ==
-                    digest) {
-                    group = &groups[g];
-                    break;
-                }
-            if (group)
-                group->rest.push_back(c);
-            else
-                groups.push_back({s, c, {}});
+        for (size_t c = 0; c < num_configs; ++c) {
+            if (!owned(s, c) ||
+                sweep.cell_origin[s][c] == CellOrigin::CacheHit)
+                continue;
+            TraversalVariant variant = columns[c].variant();
+            size_t g = first_group;
+            while (g < groups.size() &&
+                   groups[g].variant.digest() != variant.digest())
+                ++g;
+            if (g == groups.size())
+                groups.push_back({s, variant, cells.size(), 0});
+            max_group = std::max(max_group, ++groups[g].size);
+            cells.push_back({g, c});
         }
     }
-    for (const auto &g : groups)
-        max_group = std::max(max_group, g.rest.size() + 1);
 
     TapeMode tape_mode = traversalTapeMode();
     // Recording costs a little; with single-cell groups (or in disk
     // mode, where a later run amortizes it) a tape only pays off when
     // a group has at least one cell to replay.
-    bool use_tape = tape_mode != TapeMode::Off && missing > 0 &&
-                    (max_group > 1 || tape_mode == TapeMode::Disk);
-    if (!use_tape) {
-        std::vector<std::pair<size_t, size_t>> cells;
-        cells.reserve(missing);
-        for (size_t s = 0; s < workloads.size(); ++s)
-            for (size_t c : todo[s])
-                cells.emplace_back(s, c);
-        parallelFor(
-            cells.size(),
-            [&](size_t i) {
-                runCell(cells[i].first, cells[i].second, {});
-            },
-            threads);
-    } else {
-        std::string cache_dir =
-            tape_mode == TapeMode::Disk ? workloadCacheDir() : "";
-        std::vector<std::shared_ptr<TraversalTape>> tapes(
-            groups.size());
-        // Phase A: one execution (or disk replay) per (scene, variant)
-        // group yields the group's tape and its first missing result
-        // column.
+    const bool use_tape = tape_mode != TapeMode::Off && !cells.empty() &&
+                          (max_group > 1 || tape_mode == TapeMode::Disk);
+    const std::string cache_dir =
+        use_tape && tape_mode == TapeMode::Disk ? workloadCacheDir() : "";
+    std::vector<TraversalTape> tapes(use_tape ? groups.size() : 0);
+    std::vector<uint64_t> tape_bytes(groups.size(), 0);
+    // char, not bool: the loads below write it from parallel workers.
+    std::vector<char> loaded(groups.size(), 0);
+    // Every disk tape loads before any cell runs, so its group's cells
+    // are all ready from the start.
+    if (!cache_dir.empty())
         parallelFor(
             groups.size(),
-            [&](size_t i) {
-                const TapeGroup &g = groups[i];
-                TraversalVariant variant = columns[g.lead].variant();
-                auto tape = std::make_shared<TraversalTape>();
-                bool loaded =
-                    !cache_dir.empty() &&
-                    loadTraversalTape(cache_dir, *workloads[g.scene],
-                                      variant, *tape);
-                SimOptions options;
-                if (loaded)
-                    options.replay_tape = tape.get();
-                else
-                    options.record_tape = tape.get();
-                runCell(g.scene, g.lead, options);
-                if (!loaded && !cache_dir.empty())
-                    saveTraversalTape(cache_dir, *workloads[g.scene],
-                                      variant, *tape);
-                tapes[i] = std::move(tape);
+            [&](size_t g) {
+                loaded[g] = loadTraversalTape(
+                    cache_dir, *workloads[groups[g].scene],
+                    groups[g].variant, tapes[g]);
+                if (loaded[g])
+                    tape_bytes[g] = tapes[g].totalBytes();
             },
             threads);
-        // Phase B: every remaining missing cell replays its group's
-        // tape.
-        std::vector<std::pair<size_t, size_t>> rest; // (group, column)
-        rest.reserve(missing - groups.size());
-        for (size_t g = 0; g < groups.size(); ++g)
-            for (size_t c : groups[g].rest)
-                rest.emplace_back(g, c);
-        parallelFor(
-            rest.size(),
-            [&](size_t i) {
-                size_t g = rest[i].first;
-                SimOptions options;
-                options.replay_tape = tapes[g].get();
-                runCell(groups[g].scene, rest[i].second, options);
-            },
-            threads);
+    auto records = [&](size_t i) {
+        size_t g = cells[i].group;
+        return use_tape && !loaded[g] && groups[g].lead == i;
+    };
+    // One ready queue, no phase barrier: a recording group's other
+    // cells wait only for its lead. Recording leads go first, in grid
+    // order; then the ready cells with the largest tape, which ranks
+    // replay cost per scene.
+    std::vector<size_t> after(cells.size(), kNoTask);
+    for (size_t i = 0; i < cells.size(); ++i) {
+        size_t lead = groups[cells[i].group].lead;
+        if (lead != i && records(lead))
+            after[i] = lead;
     }
+    parallelForAfter(
+        cells.size(), after,
+        [&](size_t i) {
+            return records(i) ? std::numeric_limits<uint64_t>::max()
+                              : tape_bytes[cells[i].group];
+        },
+        [&](size_t i) {
+            const size_t g = cells[i].group;
+            const TapeGroup &group = groups[g];
+            SimOptions options;
+            if (records(i))
+                options.record_tape = &tapes[g];
+            else if (use_tape)
+                options.replay_tape = &tapes[g];
+            runCell(group.scene, cells[i].column, options);
+            if (!records(i))
+                return;
+            tape_bytes[g] = tapes[g].totalBytes();
+            if (!cache_dir.empty())
+                saveTraversalTape(cache_dir, *workloads[group.scene],
+                                  group.variant, tapes[g]);
+        },
+        threads);
     sweep.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -18,31 +18,57 @@ SharedMemory::conflictPasses(const std::vector<SharedLaneRequest> &lanes)
 {
     if (lanes.empty())
         return 0;
+    SMS_ASSERT(lanes.size() <= kSharedMaxLanes,
+               "a warp access carries at most %u lane requests, got %zu",
+               kSharedMaxLanes, lanes.size());
 
-    // Count distinct words per bank. An 8 B stack entry spans two
-    // adjacent 4 B words (two banks). Lanes accessing the *same* word
-    // broadcast and cost nothing extra; different words in the same
-    // bank serialize.
-    std::array<std::vector<Addr>, kSharedBanks> words;
+    // The passes are the most distinct words any one bank serves. An
+    // 8 B stack entry spans two adjacent 4 B words (two banks). Lanes
+    // accessing the *same* word broadcast and cost nothing extra;
+    // different words in the same bank serialize.
+    //
+    // Each request covers the contiguous word range [addr / 4,
+    // addr / 4 + bytes / 4), so the distinct words are the union of at
+    // most one range per lane: sort the ranges in fixed scratch, merge
+    // overlaps, and count each merged range's words per bank. No heap
+    // allocation, and exact for requests of any width.
+    struct WordRange
+    {
+        Addr begin;
+        Addr end;
+    };
+    std::array<WordRange, kSharedMaxLanes> ranges{};
+    size_t n = 0;
     for (const SharedLaneRequest &req : lanes) {
         SMS_ASSERT(req.bytes % kBankWordBytes == 0,
                    "shared request must be word-aligned in size");
-        for (uint32_t off = 0; off < req.bytes; off += kBankWordBytes) {
-            Addr word = (req.addr + off) / kBankWordBytes;
-            uint32_t bank = static_cast<uint32_t>(word % kSharedBanks);
-            words[bank].push_back(word);
-        }
+        if (req.bytes == 0)
+            continue;
+        Addr first = req.addr / kBankWordBytes;
+        ranges[n++] = {first, first + req.bytes / kBankWordBytes};
     }
+    std::sort(ranges.begin(), ranges.begin() + n,
+              [](const WordRange &a, const WordRange &b) {
+                  return a.begin < b.begin;
+              });
 
-    uint32_t passes = 1;
-    for (auto &bank_words : words) {
-        std::sort(bank_words.begin(), bank_words.end());
-        auto end = std::unique(bank_words.begin(), bank_words.end());
-        uint32_t distinct =
-            static_cast<uint32_t>(end - bank_words.begin());
-        passes = std::max(passes, distinct);
+    uint32_t full_rows = 0;
+    std::array<uint32_t, kSharedBanks> extra{};
+    for (size_t i = 0; i < n;) {
+        Addr begin = ranges[i].begin;
+        Addr end = ranges[i].end;
+        for (++i; i < n && ranges[i].begin <= end; ++i)
+            end = std::max(end, ranges[i].end);
+        // A merged range of len words gives every bank len / 32 words,
+        // plus one more to the len % 32 banks from its first word on.
+        Addr len = end - begin;
+        full_rows += static_cast<uint32_t>(len / kSharedBanks);
+        for (Addr w = begin; w < begin + len % kSharedBanks; ++w)
+            ++extra[w % kSharedBanks];
     }
-    return passes;
+    uint32_t passes =
+        full_rows + *std::max_element(extra.begin(), extra.end());
+    return std::max(passes, 1u);
 }
 
 Cycle

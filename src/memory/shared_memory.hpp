@@ -24,6 +24,8 @@ namespace sms {
 constexpr uint32_t kSharedBanks = 32;
 /** Bank word width in bytes. */
 constexpr uint32_t kBankWordBytes = 4;
+/** Most lane requests in one warp-level access (one per warp lane). */
+constexpr uint32_t kSharedMaxLanes = 32;
 
 /** Bank index of a shared-memory byte address. */
 constexpr uint32_t
@@ -81,7 +83,9 @@ class SharedMemory
     {}
 
     /**
-     * Compute the serialization cost of one warp-level access.
+     * Compute the serialization cost of one warp-level access (at most
+     * kSharedMaxLanes requests). Allocation-free: it runs on every
+     * stack-manager round.
      *
      * @return number of passes required (>= 1 for a non-empty access);
      *         passes - 1 is the conflict delay

@@ -17,11 +17,15 @@
 #define SMS_UTIL_PARALLEL_HPP
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <functional>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -59,9 +63,9 @@ defaultThreadCount()
  * Optional occupancy instrumentation. The metrics layer (which sits
  * above this header in the link order, so it cannot be called
  * directly from here) installs begin/end hooks that publish the
- * worker count and iteration total of each parallelFor region as
- * gauges/counters. Null by default: one relaxed load per region is
- * the entire cost when telemetry is off.
+ * worker count and iteration total of each parallelFor and
+ * parallelForAfter region as gauges/counters. Null by default: one
+ * relaxed load per region is the entire cost when telemetry is off.
  */
 using ParallelForHook = void (*)(unsigned threads, size_t n);
 
@@ -164,6 +168,112 @@ parallelFor(size_t n, const std::function<void(size_t)> &fn,
             }
         });
     }
+    for (std::thread &w : workers)
+        w.join();
+    if (first_error)
+        std::rethrow_exception(first_error);
+}
+
+/** parallelForAfter()'s "waits for nothing" dependency. */
+constexpr size_t kNoTask = static_cast<size_t>(-1);
+
+/**
+ * Run fn(i) for i in [0, n) across up to @p threads workers, where task
+ * i may not start before task after[i] has finished (kNoTask: ready at
+ * once). A task may wait only for an earlier one (after[i] < i), so
+ * the dependencies cannot form a cycle.
+ *
+ * A free worker takes the ready task with the highest priority(i), the
+ * lowest index among equal priorities. priority is called under the
+ * queue's lock and only for ready tasks, so it may read state that a
+ * task's dependency wrote before finishing.
+ *
+ * Thread count and errors follow parallelFor: threads == 0 means
+ * defaultThreadCount(), and the first exception fn throws stops further
+ * tasks from starting and is rethrown on the calling thread after every
+ * worker joined.
+ */
+inline void
+parallelForAfter(size_t n, const std::vector<size_t> &after,
+                 const std::function<uint64_t(size_t)> &priority,
+                 const std::function<void(size_t)> &fn,
+                 unsigned threads = 0)
+{
+    if (after.size() != n)
+        throw std::invalid_argument(
+            "parallelForAfter: one dependency per task required");
+    if (n == 0)
+        return;
+    std::vector<std::vector<size_t>> dependents(n);
+    std::vector<size_t> ready;
+    for (size_t i = 0; i < n; ++i) {
+        if (after[i] == kNoTask)
+            ready.push_back(i);
+        else if (after[i] < i)
+            dependents[after[i]].push_back(i);
+        else
+            throw std::invalid_argument(
+                "parallelForAfter: a task may wait only for an earlier "
+                "one");
+    }
+    if (threads == 0)
+        threads = defaultThreadCount();
+    if (threads > n)
+        threads = static_cast<unsigned>(n);
+    detail::ParallelRegionScope region(threads, n);
+
+    std::mutex mutex; // guards ready, unclaimed and first_error
+    std::condition_variable changed;
+    size_t unclaimed = n;
+    std::exception_ptr first_error;
+    auto work = [&]() {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            // With nothing ready, a running task still holds every
+            // unclaimed one back; its completion notifies.
+            changed.wait(lock, [&] {
+                return first_error || unclaimed == 0 || !ready.empty();
+            });
+            if (first_error || unclaimed == 0)
+                return;
+            auto best = ready.begin();
+            uint64_t best_priority = priority(*best);
+            for (auto it = best + 1; it != ready.end(); ++it) {
+                uint64_t p = priority(*it);
+                if (p > best_priority ||
+                    (p == best_priority && *it < *best)) {
+                    best = it;
+                    best_priority = p;
+                }
+            }
+            size_t task = *best;
+            *best = ready.back();
+            ready.pop_back();
+            --unclaimed;
+            lock.unlock();
+            try {
+                fn(task);
+            } catch (...) {
+                lock.lock();
+                if (!first_error)
+                    first_error = std::current_exception();
+                changed.notify_all();
+                return;
+            }
+            lock.lock();
+            ready.insert(ready.end(), dependents[task].begin(),
+                         dependents[task].end());
+            if (!dependents[task].empty() || unclaimed == 0)
+                changed.notify_all();
+        }
+    };
+
+    // The calling thread is one of the workers.
+    std::vector<std::thread> workers;
+    workers.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t)
+        workers.emplace_back(work);
+    work();
     for (std::thread &w : workers)
         w.join();
     if (first_error)

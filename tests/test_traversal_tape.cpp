@@ -377,6 +377,70 @@ TEST(TraversalTape, CorruptDiskTapeIsReRecordedNotTrusted)
     EXPECT_EQ(traversalTapeStats().failures, 0u);
 }
 
+TEST(TraversalTape, DiskSweepRecordsAndReplaysSideBySide)
+{
+    // One scene's tape loads from disk, the other's is corrupt and
+    // re-recorded, so the loaded scene's replay cells run while the
+    // other scene's lead records — at 4 threads, on different workers.
+    // The re-recorded scene is SHIP, whose record outlasts REF's
+    // replays: a replay cell that did not wait for its lead would read
+    // a half-written tape and fail.
+    TempCacheDir dir;
+    ScopedEnv cache_env("SMS_WORKLOAD_CACHE", dir.path().c_str());
+    std::vector<std::shared_ptr<Workload>> workloads = {
+        tinyWorkload(SceneId::REF), tinyWorkload(SceneId::SHIP)};
+    std::vector<StackConfig> configs = {
+        StackConfig::baseline(8), StackConfig::withSh(8, 8),
+        StackConfig::sms()};
+
+    auto grid_json = [](const benchutil::SweepResult &sweep) {
+        std::string all;
+        for (const auto &row : sweep.results)
+            for (const SimResult &r : row)
+                all += resultJson(r) + "\n";
+        return all;
+    };
+    std::string off;
+    {
+        ScopedEnv tape_env("SMS_TRAVERSAL_TAPE", "off");
+        off = grid_json(benchutil::runSweep(workloads, configs, {}, 1));
+    }
+
+    ScopedEnv tape_env("SMS_TRAVERSAL_TAPE", "disk");
+    benchutil::runSweep(workloads, configs, {}, 1); // writes both tapes
+    const Workload &corrupt = *workloads[1];
+    std::string corrupt_path = traversalTapePath(
+        dir.path(), corrupt.id, corrupt.profile, corrupt.params);
+
+    for (unsigned threads : {1u, 4u}) {
+        // Flip one byte in the middle of the second scene's tape (the
+        // previous sweep rewrote it intact).
+        std::FILE *f = std::fopen(corrupt_path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f, 0, SEEK_END);
+        long size = std::ftell(f);
+        ASSERT_GT(size, 32);
+        std::fseek(f, size / 2, SEEK_SET);
+        int byte = std::fgetc(f);
+        std::fseek(f, size / 2, SEEK_SET);
+        std::fputc(byte ^ 0xff, f);
+        std::fclose(f);
+
+        resetTraversalTapeStats();
+        benchutil::SweepResult sweep =
+            benchutil::runSweep(workloads, configs, {}, threads);
+        TraversalTapeStats stats = traversalTapeStats();
+        EXPECT_EQ(grid_json(sweep), off) << threads << " threads";
+        EXPECT_EQ(stats.disk_loads, 1u) << threads << " threads";
+        EXPECT_EQ(stats.failures, 1u) << threads << " threads";
+        EXPECT_EQ(stats.disk_stores, 1u) << threads << " threads";
+        for (const auto &row : sweep.cell_origin)
+            for (benchutil::CellOrigin origin : row)
+                EXPECT_EQ(origin, benchutil::CellOrigin::Simulated)
+                    << threads << " threads";
+    }
+}
+
 TEST(TraversalTape, MismatchedTapeFailsFingerprintCheck)
 {
     TempCacheDir dir;

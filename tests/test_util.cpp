@@ -411,5 +411,99 @@ TEST(ParallelFor, ThreadsClampedToChunksStillThrows)
     EXPECT_EQ(ran.load(), 31);
 }
 
+TEST(ParallelForAfter, RunsEveryTaskOnceAfterItsDependency)
+{
+    // Tasks 0-5 are ready at once; each later task waits for one
+    // earlier task. A task must start only after its dependency ended.
+    constexpr size_t kN = 48;
+    std::vector<size_t> after(kN, kNoTask);
+    for (size_t i = 6; i < kN; ++i)
+        after[i] = (i * 7 + 3) % i;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        std::atomic<uint64_t> clock{0};
+        std::vector<std::atomic<int>> runs(kN);
+        std::vector<uint64_t> started(kN), ended(kN);
+        parallelForAfter(
+            kN, after, [](size_t i) { return i % 3; },
+            [&](size_t i) {
+                started[i] = ++clock;
+                ++runs[i];
+                ended[i] = ++clock;
+            },
+            threads);
+        for (size_t i = 0; i < kN; ++i) {
+            EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads;
+            if (after[i] != kNoTask) {
+                EXPECT_LT(ended[after[i]], started[i])
+                    << "task " << i << " threads=" << threads;
+            }
+        }
+    }
+}
+
+TEST(ParallelForAfter, HighestPriorityReadyTaskFirst)
+{
+    // One worker makes the order exact: the highest priority among the
+    // ready tasks, lowest index on ties. Task 4 waits for task 3, so
+    // despite its priority it runs last.
+    std::vector<size_t> after = {kNoTask, kNoTask, kNoTask, kNoTask, 3};
+    std::vector<uint64_t> priority = {5, 9, 5, 1, 7};
+    std::vector<size_t> order;
+    parallelForAfter(
+        after.size(), after, [&](size_t i) { return priority[i]; },
+        [&](size_t i) { order.push_back(i); }, 1);
+    EXPECT_EQ(order, (std::vector<size_t>{1, 0, 2, 3, 4}));
+
+    // Tasks released by a finished task join the ranking.
+    std::vector<size_t> waits = {kNoTask, kNoTask, 0, 0};
+    std::vector<uint64_t> high = {1, 2, 9, 8};
+    order.clear();
+    parallelForAfter(
+        waits.size(), waits, [&](size_t i) { return high[i]; },
+        [&](size_t i) { order.push_back(i); }, 1);
+    EXPECT_EQ(order, (std::vector<size_t>{1, 0, 2, 3}));
+}
+
+TEST(ParallelForAfter, ExceptionRethrownAndDependentsNeverRun)
+{
+    // The failing task holds back half the tasks; the other workers
+    // must not wait for it forever, and its dependents must not run.
+    constexpr size_t kN = 64;
+    std::vector<size_t> after(kN, kNoTask);
+    for (size_t i = 32; i < kN; ++i)
+        after[i] = 5;
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<std::atomic<int>> runs(kN);
+        try {
+            parallelForAfter(
+                kN, after, [](size_t) { return uint64_t{0}; },
+                [&](size_t i) {
+                    ++runs[i];
+                    if (i == 5)
+                        throw std::runtime_error("lead failed");
+                },
+                threads);
+            FAIL() << "expected rethrow, threads=" << threads;
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "lead failed");
+        }
+        for (size_t i = 32; i < kN; ++i)
+            EXPECT_EQ(runs[i].load(), 0) << "task " << i;
+    }
+}
+
+TEST(ParallelForAfter, RejectsMalformedDependencies)
+{
+    auto none = [](size_t) { return uint64_t{0}; };
+    auto nop = [](size_t) {};
+    EXPECT_THROW(parallelForAfter(2, {kNoTask}, none, nop),
+                 std::invalid_argument);
+    EXPECT_THROW(parallelForAfter(2, {kNoTask, 1}, none, nop),
+                 std::invalid_argument);
+    EXPECT_THROW(parallelForAfter(2, {1, kNoTask}, none, nop),
+                 std::invalid_argument);
+    parallelForAfter(0, {}, none, nop);
+}
+
 } // namespace
 } // namespace sms
