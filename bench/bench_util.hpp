@@ -197,12 +197,10 @@ struct SweepColumn
 /** Result grid of a (scene x config) sweep. */
 struct SweepResult
 {
-    std::vector<StackConfig> configs;
-    std::vector<uint64_t> l1_overrides; ///< parallel to configs; 0 = auto
-    /** Full column axes (layout/order), parallel to configs. */
+    /** The grid's columns: stack, L1 override and variant axes. */
     std::vector<SweepColumn> columns;
     std::vector<std::string> scene_names; ///< parallel to results rows
-    /** results[scene][config] */
+    /** results[scene][column] */
     std::vector<std::vector<SimResult>> results;
     /** Wall-clock seconds spent simulating each cell (same shape). */
     std::vector<std::vector<double>> cell_wall_seconds;
@@ -229,26 +227,24 @@ struct SweepResult
     std::string
     configLabel(size_t c) const
     {
-        return c < columns.size() ? columns[c].displayName()
-                                  : configs[c].name();
+        return columns[c].displayName();
     }
 };
 
 /**
  * Run every workload under every column of the sweep grid.
  *
- * When the traversal tape is enabled (SMS_TRAVERSAL_TAPE, default on),
- * cells share one tape per (scene, traversal variant) group — columns
- * sharing a node layout and ray ordering record the same functional
- * traversal. In disk mode every group's tape is first loaded from the
- * workload cache where a valid one exists. A group without one has its
- * first cell execute once, recording the traversal into the tape; the
- * group's other cells replay it with zero geometry work. All cells run
- * from one ready queue with no phase barrier: a replay cell is ready as
- * soon as its tape exists, recording cells go first in grid order, and
- * among ready replays the largest tape (the costliest scene) goes
- * first. Replay is counter-identical to execution, so the result grid
- * depends on neither the tape mode nor the schedule.
+ * Cells replay one traversal tape per (scene, traversal variant)
+ * group: columns sharing a node layout, ray ordering and architecture
+ * share the functional traversal. With a workload cache
+ * (SMS_WORKLOAD_CACHE) every group's tape is first loaded from disk
+ * where a valid one exists. A group without one gets one
+ * single-threaded build task (buildWorkloadTape, stored back to the
+ * cache when there is one). All tasks run from one ready queue with no
+ * phase barrier: build tasks go first, in grid order; a group's cells
+ * wait only for its build; and among ready cells the largest tape (the
+ * costliest scene) goes first. The result grid depends on neither the
+ * cache nor the schedule.
  *
  * Two orthogonal reducers run before any cell simulates. When a shard
  * identity is active (sweepShardSpec()), only the owned cells of the
@@ -281,12 +277,6 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
     SweepResult sweep;
     sweep.shard = sweepShardSpec();
     sweep.columns = columns;
-    sweep.configs.reserve(columns.size());
-    sweep.l1_overrides.reserve(columns.size());
-    for (const auto &col : columns) {
-        sweep.configs.push_back(col.stack);
-        sweep.l1_overrides.push_back(col.l1_override);
-    }
     for (const auto &w : workloads)
         sweep.scene_names.push_back(sceneName(w->id));
     sweep.results.assign(workloads.size(),
@@ -413,16 +403,12 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
 
     // The cells still to simulate, in grid order: owned and not served
     // by the cache. Tape sharing is per (scene, traversal variant):
-    // columns with a different node layout or ray ordering record a
-    // different functional traversal and cannot replay each other's
-    // tape. A group's lead is its first cell, which records the tape
-    // when none loads from disk.
+    // columns with a different node layout, ray ordering or
+    // architecture have a different functional traversal.
     struct TapeGroup
     {
         size_t scene;
         TraversalVariant variant;
-        size_t lead; ///< index in `cells` of the group's first cell
-        size_t size; ///< cells sharing the tape
     };
     struct Cell
     {
@@ -431,7 +417,6 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
     };
     std::vector<TapeGroup> groups;
     std::vector<Cell> cells;
-    size_t max_group = 0;
     for (size_t s = 0; s < workloads.size(); ++s) {
         size_t first_group = groups.size();
         for (size_t c = 0; c < num_configs; ++c) {
@@ -444,22 +429,29 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
                    groups[g].variant.digest() != variant.digest())
                 ++g;
             if (g == groups.size())
-                groups.push_back({s, variant, cells.size(), 0});
-            max_group = std::max(max_group, ++groups[g].size);
+                groups.push_back({s, variant});
             cells.push_back({g, c});
         }
     }
 
-    TapeMode tape_mode = traversalTapeMode();
-    // Recording costs a little; with single-cell groups (or in disk
-    // mode, where a later run amortizes it) a tape only pays off when
-    // a group has at least one cell to replay.
-    const bool use_tape = tape_mode != TapeMode::Off && !cells.empty() &&
-                          (max_group > 1 || tape_mode == TapeMode::Disk);
-    const std::string cache_dir =
-        use_tape && tape_mode == TapeMode::Disk ? workloadCacheDir() : "";
-    std::vector<TraversalTape> tapes(use_tape ? groups.size() : 0);
+    const std::string cache_dir = workloadCacheDir();
+    std::vector<TraversalTape> tapes(groups.size());
     std::vector<uint64_t> tape_bytes(groups.size(), 0);
+    // Tape work gets one wall-clock row per group, after the cell rows,
+    // named by scene and variant; spans carry the tape's jobs and bytes.
+    auto tapeSpan = [&](size_t g, const char *name, uint64_t t0) {
+        if (!tl)
+            return;
+        uint32_t tid =
+            static_cast<uint32_t>(workloads.size() * num_configs + g) + 1;
+        std::string tag = groups[g].variant.tag();
+        timelineNameThread(tl_pid, tid,
+                           sweep.sceneLabel(groups[g].scene) +
+                               (tag.empty() ? "" : " " + tag) + " tape");
+        timelineSpanAt(TimelineCategory::Sweep, name, tl_pid, tid, t0,
+                       timelineWallMicros() - t0, tapes[g].jobs.size(),
+                       "jobs", tape_bytes[g], "bytes");
+    };
     // char, not bool: the loads below write it from parallel workers.
     std::vector<char> loaded(groups.size(), 0);
     // Every disk tape loads before any cell runs, so its group's cells
@@ -468,48 +460,61 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
         parallelFor(
             groups.size(),
             [&](size_t g) {
+                uint64_t t0 = tl ? timelineWallMicros() : 0;
                 loaded[g] = loadTraversalTape(
                     cache_dir, *workloads[groups[g].scene],
                     groups[g].variant, tapes[g]);
                 if (loaded[g])
                     tape_bytes[g] = tapes[g].totalBytes();
+                tapeSpan(g, "tape_load", t0);
             },
             threads);
-    auto records = [&](size_t i) {
-        size_t g = cells[i].group;
-        return use_tape && !loaded[g] && groups[g].lead == i;
+    auto buildTape = [&](size_t g) {
+        const Workload &workload = *workloads[groups[g].scene];
+        uint64_t t0 = tl ? timelineWallMicros() : 0;
+        tapes[g] = buildWorkloadTape(workload, groups[g].variant);
+        tape_bytes[g] = tapes[g].totalBytes();
+        tapeSpan(g, "tape_build", t0);
+        if (cache_dir.empty())
+            return;
+        t0 = tl ? timelineWallMicros() : 0;
+        saveTraversalTape(cache_dir, workload, groups[g].variant,
+                          tapes[g]);
+        tapeSpan(g, "tape_store", t0);
     };
-    // One ready queue, no phase barrier: a recording group's other
-    // cells wait only for its lead. Recording leads go first, in grid
-    // order; then the ready cells with the largest tape, which ranks
-    // replay cost per scene.
-    std::vector<size_t> after(cells.size(), kNoTask);
-    for (size_t i = 0; i < cells.size(); ++i) {
-        size_t lead = groups[cells[i].group].lead;
-        if (lead != i && records(lead))
-            after[i] = lead;
+
+    // One ready queue, no phase barrier: a build task for each group
+    // without a tape, ahead of every cell in grid order, then the
+    // cells, each waiting only for its group's build. Ready cells go
+    // largest tape first, which ranks replay cost per scene.
+    std::vector<size_t> builds; // group of each build task
+    std::vector<size_t> after;
+    std::vector<size_t> build_of(groups.size(), kNoTask);
+    for (size_t g = 0; g < groups.size(); ++g) {
+        if (loaded[g])
+            continue;
+        build_of[g] = builds.size();
+        builds.push_back(g);
+        after.push_back(kNoTask);
     }
+    for (const Cell &cell : cells)
+        after.push_back(build_of[cell.group]);
     parallelForAfter(
-        cells.size(), after,
-        [&](size_t i) {
-            return records(i) ? std::numeric_limits<uint64_t>::max()
-                              : tape_bytes[cells[i].group];
+        after.size(), after,
+        [&](size_t t) {
+            return t < builds.size()
+                       ? std::numeric_limits<uint64_t>::max()
+                       : tape_bytes[cells[t - builds.size()].group];
         },
-        [&](size_t i) {
-            const size_t g = cells[i].group;
-            const TapeGroup &group = groups[g];
-            SimOptions options;
-            if (records(i))
-                options.record_tape = &tapes[g];
-            else if (use_tape)
-                options.replay_tape = &tapes[g];
-            runCell(group.scene, cells[i].column, options);
-            if (!records(i))
+        [&](size_t t) {
+            if (t < builds.size()) {
+                buildTape(builds[t]);
                 return;
-            tape_bytes[g] = tapes[g].totalBytes();
-            if (!cache_dir.empty())
-                saveTraversalTape(cache_dir, *workloads[group.scene],
-                                  group.variant, tapes[g]);
+            }
+            const Cell &cell = cells[t - builds.size()];
+            SimOptions options;
+            options.tape = &tapes[cell.group];
+            runCell(groups[cell.group].scene, cell.column, options);
         },
         threads);
     sweep.wall_seconds =
@@ -559,8 +564,8 @@ normIpc(const SweepResult &sweep, size_t s, size_t c, size_t base = 0)
     if (!(b > 0.0) || !(v > 0.0)) {
         warn("normIpc: degenerate IPC for scene %s (config '%s' ipc=%g, "
              "baseline '%s' ipc=%g); cell reported as NaN",
-             sweep.sceneLabel(s).c_str(), sweep.configs[c].name().c_str(),
-             v, sweep.configs[base].name().c_str(), b);
+             sweep.sceneLabel(s).c_str(), sweep.configLabel(c).c_str(),
+             v, sweep.configLabel(base).c_str(), b);
         return std::numeric_limits<double>::quiet_NaN();
     }
     return v / b;
@@ -609,8 +614,8 @@ normOffchip(const SweepResult &sweep, size_t s, size_t c, size_t base = 0)
         warn("normOffchip: scene %s config '%s' has %g off-chip accesses "
              "but the baseline '%s' has none; reporting the regression "
              "against an implied baseline of 1",
-             sweep.sceneLabel(s).c_str(), sweep.configs[c].name().c_str(),
-             v, sweep.configs[base].name().c_str());
+             sweep.sceneLabel(s).c_str(), sweep.configLabel(c).c_str(),
+             v, sweep.configLabel(base).c_str());
         ratio = v;
     } else {
         ratio = 1.0;
@@ -739,7 +744,7 @@ class JsonReporter
         const bool sharded = sweep.shard.active();
         JsonValue cells = JsonValue::array();
         for (size_t s = 0; s < sweep.results.size(); ++s) {
-            for (size_t c = 0; c < sweep.configs.size(); ++c) {
+            for (size_t c = 0; c < sweep.columns.size(); ++c) {
                 CellOrigin origin =
                     s < sweep.cell_origin.size() &&
                             c < sweep.cell_origin[s].size()
@@ -751,12 +756,11 @@ class JsonReporter
                 cell["scene"] = sweep.sceneLabel(s);
                 cell["config"] = sweep.configLabel(c);
                 cell["config_index"] = c;
-                cell["l1_override"] = sweep.l1_overrides[c];
+                cell["l1_override"] = sweep.columns[c].l1_override;
                 // Variant axes are emitted only when non-default so
                 // default-variant records stay byte-identical to the
                 // pre-variant golden files.
-                if (c < sweep.columns.size() &&
-                    !sweep.columns[c].variant().isDefault()) {
+                if (!sweep.columns[c].variant().isDefault()) {
                     cell["node_layout"] =
                         sweep.columns[c].layout.name();
                     cell["ray_order"] = sweep.columns[c].order.name();
@@ -774,7 +778,7 @@ class JsonReporter
                     cell["norm_offchip"] =
                         normOffchip(sweep, s, c, base);
                 }
-                cell["stack_config"] = toJson(sweep.configs[c]);
+                cell["stack_config"] = toJson(sweep.columns[c].stack);
                 cell["counters"] = toJson(r);
                 // Promote the headline traffic metric for the gate.
                 cell["offchip_accesses"] = r.offchip_accesses;
@@ -827,13 +831,12 @@ class JsonReporter
         if (key == "results") {
             record_["baseline"] = sweep.configLabel(base);
             JsonValue summary = JsonValue::array();
-            for (size_t c = 0; c < sweep.configs.size(); ++c) {
+            for (size_t c = 0; c < sweep.columns.size(); ++c) {
                 JsonValue row = JsonValue::object();
                 row["config"] = sweep.configLabel(c);
                 row["config_index"] = c;
-                row["l1_override"] = sweep.l1_overrides[c];
-                if (c < sweep.columns.size() &&
-                    !sweep.columns[c].variant().isDefault()) {
+                row["l1_override"] = sweep.columns[c].l1_override;
+                if (!sweep.columns[c].variant().isDefault()) {
                     row["node_layout"] = sweep.columns[c].layout.name();
                     row["ray_order"] = sweep.columns[c].order.name();
                     row["architecture"] = sweep.columns[c].arch.name();
@@ -921,7 +924,8 @@ class JsonReporter
         throughput["result_cache"] = std::move(rcache_json);
         TraversalTapeStats tape = traversalTapeStats();
         JsonValue tape_json = JsonValue::object();
-        tape_json["mode"] = tapeModeName(traversalTapeMode());
+        // Tapes persist exactly when a workload cache is configured.
+        tape_json["mode"] = workloadCacheDir().empty() ? "mem" : "disk";
         tape_json["jobs_recorded"] = tape.jobs_recorded;
         tape_json["jobs_replayed"] = tape.jobs_replayed;
         tape_json["bytes"] = tape.bytes;

@@ -11,7 +11,6 @@
 #include <queue>
 #include <string>
 
-#include "src/bvh/node_layout.hpp"
 #include "src/bvh/stackless.hpp"
 #include "src/sim/ray_predictor.hpp"
 #include "src/sim/traversal_tape.hpp"
@@ -124,37 +123,22 @@ simulateJobs(const Scene &scene, const WideBvh &bvh,
     SimResult result;
     result.jobs = static_cast<uint32_t>(jobs.size());
 
-    TraversalTape *record = options.record_tape;
-    const TraversalTape *replay = options.replay_tape;
-    SMS_ASSERT(!(record && replay),
-               "a run cannot record and replay a tape at once");
-    if (record) {
-        record->jobs.assign(jobs.size(), JobTape{});
-        // Quantized layouts change the functional traversal (superset
-        // visits), so the variant digest keys the tape alongside the
-        // job stream; the default variant folds in 0.
-        record->fingerprint =
-            workloadFingerprint(jobs, bvh) ^ config.variant().digest();
+    // The functional pass runs here only for callers without a tape;
+    // sweeps build each (scene, variant) tape once and share it.
+    TraversalTape built;
+    const TraversalTape *tape = options.tape;
+    if (!tape) {
+        built = buildTraversalTape(scene, bvh, jobs, config.variant());
+        tape = &built;
     }
-    if (replay) {
-        SMS_ASSERT(replay->jobs.size() == jobs.size(),
-                   "traversal tape holds %zu jobs but the workload has "
-                   "%zu",
-                   replay->jobs.size(), jobs.size());
-    }
-
-    const QuantizedBvh *qbvh = options.quantized_bvh;
-    if (config.node_layout.isQuantized() && !replay) {
-        SMS_ASSERT(qbvh && qbvh->layout() == config.node_layout,
-                   "quantized node layout requires a matching decoded "
-                   "QuantizedBvh in SimOptions");
-    }
-    if (!config.node_layout.isQuantized())
-        qbvh = nullptr;
+    SMS_ASSERT(tape->jobs.size() == jobs.size(),
+               "traversal tape holds %zu jobs but the workload has %zu",
+               tape->jobs.size(), jobs.size());
 
     // Architecture support structures: both are cheap pure functions of
-    // (bvh) resp. (jobs, bvh, arch config), so execute and replay
-    // rebuild identical copies instead of serializing them anywhere.
+    // (bvh) resp. (jobs, bvh, arch config), so the functional pass and
+    // every timing run rebuild identical copies instead of serializing
+    // them anywhere.
     StacklessLinks links;
     PredictorSchedule predictor;
     if (config.traversal_arch.kind == TraversalArchKind::Stackless)
@@ -330,23 +314,22 @@ simulateJobs(const Scene &scene, const WideBvh &bvh,
         // Recycled slots rearm their existing sim/collector in place:
         // the stack model, scratch arenas and tape state all keep their
         // allocations across the thousands of jobs sharing the slot.
-        JobTape *rec = record ? &record->jobs[job_index] : nullptr;
-        const JobTape *rep = replay ? &replay->jobs[job_index] : nullptr;
+        const JobTape &job_tape = tape->jobs[job_index];
         bool traced = warp_traced(job.warp_id);
         if (fl.sim) {
             fl.collector->reinit(job.warp_id);
-            fl.sim->reinit(job, sm_id, shared_base, local_base,
+            fl.sim->reinit(job, job_tape, sm_id, shared_base, local_base,
                            shared_mems[sm_id],
-                           traced ? fl.collector.get() : nullptr, rec, rep,
+                           traced ? fl.collector.get() : nullptr,
                            &result.depth_hist);
         } else {
             fl.collector =
                 std::make_unique<DepthCollector>(result, job.warp_id);
             fl.sim = std::make_unique<TraversalSim>(
-                scene, bvh, config, job, sm_id, shared_base, local_base,
+                bvh, config, job, job_tape, sm_id, shared_base, local_base,
                 mem, shared_mems[sm_id],
-                traced ? fl.collector.get() : nullptr, rec, rep,
-                &result.depth_hist, qbvh, links_p, predictor_p);
+                traced ? fl.collector.get() : nullptr, &result.depth_hist,
+                links_p, predictor_p);
         }
         events.emplace(cycle, seq++, idx);
     };
@@ -552,10 +535,7 @@ simulateJobs(const Scene &scene, const WideBvh &bvh,
     result.dram = mem.dram().stats();
     result.offchip_accesses = mem.offchipAccesses();
 
-    if (record)
-        noteTapeRecorded(*record);
-    if (replay)
-        noteTapeReplayed(*replay);
+    noteTapeReplayed(*tape);
 
     // Live telemetry: retire this run's headline counters into the
     // metrics registry. Per simulateJobs() call, not per cycle, so the

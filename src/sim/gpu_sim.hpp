@@ -26,8 +26,6 @@
 
 namespace sms {
 
-class QuantizedBvh;
-
 /** One record of the per-access depth trace (Fig. 10). */
 struct DepthTraceRecord
 {
@@ -44,17 +42,11 @@ struct SimOptions
     std::vector<uint32_t> depth_trace_warps;
 
     /**
-     * When non-null, record every job's functional traversal into this
-     * tape while executing (the tape is sized and fingerprinted here).
+     * The jobs' traversal tape: buildTraversalTape() of this job stream
+     * under the config's traversal variant. Null makes simulateJobs()
+     * build it first. Must stay alive for the simulateJobs call.
      */
-    TraversalTape *record_tape = nullptr;
-    /**
-     * When non-null, drive every job from this previously recorded
-     * tape instead of running the geometry work. The tape must match
-     * the job stream (fingerprint-checked). Mutually exclusive with
-     * record_tape.
-     */
-    const TraversalTape *replay_tape = nullptr;
+    const TraversalTape *tape = nullptr;
 
     /**
      * Timeline track name for this run ("scene config"); one trace
@@ -62,14 +54,6 @@ struct SimOptions
      * Only consulted when the timeline tracer is enabled.
      */
     std::string timeline_label;
-
-    /**
-     * Decoded quantized BVH matching config.node_layout. Required when
-     * the layout is quantized and geometry executes (i.e. not a pure
-     * tape replay): traversal intersects the decoded boxes and fetches
-     * the narrow footprint. Must stay alive for the simulateJobs call.
-     */
-    const QuantizedBvh *quantized_bvh = nullptr;
 };
 
 /** Aggregated outcome of one simulated frame. */
@@ -123,7 +107,9 @@ struct SimResult
 };
 
 /**
- * Simulate a frame's warp jobs on the configured GPU.
+ * Simulate a frame's warp jobs on the configured GPU by replaying
+ * their traversal tape (SimOptions::tape, or one built here from
+ * @p scene) through the timing model.
  *
  * Deterministic: identical inputs produce identical results.
  */

@@ -18,9 +18,10 @@
  * the jobs in job_id order, records each job's predictions from the
  * table state left by the jobs before it, then trains the table with
  * the job's expected hits (the functional results carried by WarpJob).
- * Execute and replay rebuild the identical schedule, so no tape format
- * change is needed; probe reads ride the recorded fetch lines and
- * table updates replay as fire-and-forget stores.
+ * The functional pass and every timing run rebuild the identical
+ * schedule, so no tape format change is needed; probe reads ride the
+ * recorded fetch lines and table updates replay as fire-and-forget
+ * stores.
  */
 
 #ifndef SMS_SIM_RAY_PREDICTOR_HPP
@@ -62,7 +63,8 @@ struct PredictorJobPlan
 
 /**
  * The full run's predictor behaviour, indexed by job_id. Pure function
- * of (jobs, bvh, arch), so execute and replay agree byte for byte.
+ * of (jobs, bvh, arch), so the functional pass and replay agree byte
+ * for byte.
  */
 struct PredictorSchedule
 {

@@ -1,12 +1,12 @@
 /**
  * @file
- * Warp-job execution implementation (execute, record and replay modes).
+ * Warp-job timing: replays a job's traversal tape through the RT-unit
+ * pipeline model.
  */
 
 #include "src/sim/traversal_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "src/stats/timeline.hpp"
@@ -14,20 +14,16 @@
 
 namespace sms {
 
-TraversalSim::TraversalSim(const Scene &scene, const WideBvh &bvh,
-                           const GpuConfig &config, const WarpJob &job,
+TraversalSim::TraversalSim(const WideBvh &bvh, const GpuConfig &config,
+                           const WarpJob &job, const JobTape &tape,
                            uint32_t sm, Addr shared_base, Addr local_base,
                            MemorySystem &mem, SharedMemory &shared_mem,
-                           DepthObserver *observer, JobTape *record,
-                           const JobTape *replay, Histogram *depth_hist,
-                           const QuantizedBvh *qbvh,
+                           DepthObserver *observer, Histogram *depth_hist,
                            const StacklessLinks *links,
                            const PredictorSchedule *predictor)
-    : scene_(scene), bvh_(bvh), qbvh_(qbvh), links_(links),
-      predictor_(predictor), config_(config), job_(job), sm_(sm), mem_(mem),
-      shared_mem_(&shared_mem),
-      stack_(config.stack, shared_base, local_base), recorder_(record),
-      cursor_(replay)
+    : bvh_(bvh), links_(links), predictor_(predictor), config_(config),
+      job_(job), sm_(sm), mem_(mem), shared_mem_(&shared_mem),
+      stack_(config.stack, shared_base, local_base), cursor_(&tape)
 {
     SMS_ASSERT((links_ != nullptr) ==
                    (config.traversal_arch.kind == TraversalArchKind::Stackless),
@@ -40,23 +36,21 @@ TraversalSim::TraversalSim(const Scene &scene, const WideBvh &bvh,
 }
 
 void
-TraversalSim::reinit(const WarpJob &job, uint32_t sm, Addr shared_base,
-                     Addr local_base, SharedMemory &shared_mem,
-                     DepthObserver *observer, JobTape *record,
-                     const JobTape *replay, Histogram *depth_hist)
+TraversalSim::reinit(const WarpJob &job, const JobTape &tape, uint32_t sm,
+                     Addr shared_base, Addr local_base,
+                     SharedMemory &shared_mem, DepthObserver *observer,
+                     Histogram *depth_hist)
 {
     job_ = job;
     sm_ = sm;
     shared_mem_ = &shared_mem;
     stack_.reset(shared_base, local_base);
     stack_.setDepthHistogram(depth_hist);
-    recorder_ = TapeWriter(record);
-    cursor_ = TapeCursor(replay);
+    cursor_ = TapeCursor(&tape);
     chain_segs_.clear();
     chain_start_ = 0;
     account_ = CycleAccount{};
     counters_ = JobCounters{};
-    mismatches_ = 0;
     manager_free_ = 0;
     seedJob(observer);
 }
@@ -74,13 +68,11 @@ TraversalSim::predictorPlan() const
 void
 TraversalSim::seedJob(DepthObserver *observer)
 {
-    SMS_ASSERT(!(recorder_.enabled() && cursor_.enabled()),
-               "a job cannot record and replay the tape at once");
     stack_.setDepthObserver(observer);
     running_mask_ = 0;
+    sl_revisit_ = 0;
     const PredictorJobPlan *plan = predictorPlan();
     for (uint32_t i = 0; i < kWarpSize; ++i) {
-        hits_[i] = HitRecord{};
         if (!job_.active[i] || bvh_.empty()) {
             // Masked-off lanes count as finished immediately; with
             // reallocation their SH segments are borrowable from the
@@ -88,7 +80,6 @@ TraversalSim::seedJob(DepthObserver *observer)
             stack_.finishLane(i);
             continue;
         }
-        rays_[i] = job_.rays[i];
         running_mask_ |= 1u << i;
         if (links_) {
             // Stackless lanes keep no stack at all: the machine state
@@ -96,8 +87,6 @@ TraversalSim::seedJob(DepthObserver *observer)
             // position it was reached through.
             sl_cur_[i] = bvh_.rootRef().bits();
             sl_parent_[i] = StacklessLinks::kNoParent;
-            sl_slot_[i] = 0;
-            sl_resume_[i] = kNoResume;
             continue;
         }
         // Seed the traversal stack with the root reference (§II-B: the
@@ -123,10 +112,6 @@ TraversalSim::seedJob(DepthObserver *observer)
                                   : config_.shading_instructions;
     counters_.instructions +=
         static_cast<uint64_t>(shade) * job_.activeLanes();
-    // The oracle comparison ran at record time; its verdict is part of
-    // the tape, not re-derived (no hits are computed during replay).
-    if (cursor_.enabled())
-        mismatches_ = cursor_.tape()->mismatches;
 }
 
 void
@@ -138,109 +123,6 @@ TraversalSim::finishLane(uint32_t lane_id, bool abandoned)
         stack_.finishLane(lane_id);
     SMS_ASSERT(running_mask_ & (1u << lane_id), "lane not running");
     running_mask_ &= ~(1u << lane_id);
-
-    if (cursor_.enabled())
-        return;
-    // Compare against the functional oracle recorded at job generation.
-    const HitRecord &hit = hits_[lane_id];
-    if (job_.any_hit) {
-        if (hit.valid() != job_.expected_hit[lane_id])
-            ++mismatches_;
-        return;
-    }
-    if (hit.valid() != job_.expected_hit[lane_id]) {
-        ++mismatches_;
-        return;
-    }
-    if (!hit.valid())
-        return;
-    bool t_matches = std::fabs(hit.t - job_.expected_t[lane_id]) <=
-                     1.0e-4f * std::max(1.0f, job_.expected_t[lane_id]);
-    // Quantized layouts visit a superset of the exact nodes in a
-    // different near-to-far order (inflated boxes shift entry
-    // distances), so an equal-t tie between two primitives can resolve
-    // to a different id than the exact-layout oracle recorded. The
-    // closest distance itself is still exact — leaf tests are — so the
-    // oracle check keeps the distance and drops the id under
-    // quantization.
-    bool prim_matches = config_.node_layout.isQuantized()
-                            ? true
-                            : hit.primitive == job_.expected_prim[lane_id];
-    if (!t_matches || !prim_matches)
-        ++mismatches_;
-}
-
-void
-TraversalSim::collectFetch(bool &has_internal, bool &has_leaf,
-                           uint32_t &max_leaf_prims)
-{
-    FetchLineList &lines = fetch_lines_;
-    if (cursor_.enabled()) {
-        cursor_.fetchPhase(lines, has_internal, has_leaf, max_leaf_prims);
-        return;
-    }
-
-    // ------------------------------------------------------------------
-    // FETCH: collect the cache lines this iteration needs across all
-    // running lanes. Lanes visiting the same node coalesce into the
-    // same line requests, as the RT unit's memory scheduler does.
-    // ------------------------------------------------------------------
-    lines.clear();
-    auto add_range = [&](Addr addr, uint64_t bytes, TrafficClass cls) {
-        Addr line = lineAlign(addr);
-        uint32_t n = linesCovering(addr, bytes);
-        for (uint32_t i = 0; i < n; ++i)
-            lines.push_back(packFetchLine(
-                line + i * static_cast<Addr>(kLineBytes), cls));
-    };
-    for (uint32_t mask = running_mask_; mask != 0; mask &= mask - 1) {
-        uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
-        // Stackless lanes fetch the node they are visiting (including
-        // backtracking revisits — the architecture's extra node
-        // traffic); stack lanes read their stack top.
-        ChildRef current = links_
-                               ? ChildRef::fromBits(sl_cur_[i])
-                               : ChildRef::fromStackValue(stack_.peek(i));
-        if (current.isInternal()) {
-            has_internal = true;
-            // The layout sets the fetch footprint: quantized nodes pack
-            // tighter, so fewer lines cover a visit (exact layouts
-            // reduce to WideBvh's native stride).
-            add_range(config_.node_layout.nodeAddress(current.nodeIndex()),
-                      config_.node_layout.nodeBytes(), TrafficClass::Node);
-        } else {
-            has_leaf = true;
-            uint32_t offset = current.primOffset();
-            uint32_t count = current.primCount();
-            if (count > max_leaf_prims)
-                max_leaf_prims = count;
-            for (uint32_t p = 0; p < count; ++p) {
-                uint32_t prim = bvh_.primIndices()[offset + p];
-                add_range(bvh_.primitiveAddress(scene_, prim),
-                          bvh_.primitiveFetchBytes(scene_, prim),
-                          TrafficClass::Primitive);
-            }
-        }
-    }
-    // The first iteration of a predicted job carries the per-lane
-    // predictor-table probes alongside the root fetch; they ride the
-    // recorded fetch lines, so replay reproduces them verbatim.
-    if (counters_.steps == 1) {
-        if (const PredictorJobPlan *plan = predictorPlan()) {
-            for (uint32_t mask = running_mask_; mask != 0; mask &= mask - 1) {
-                uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
-                add_range(plan->entry[i], kPredictorEntryBytes,
-                          TrafficClass::Predictor);
-            }
-        }
-    }
-    // Packed entries sort exactly like (line, class) pairs.
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-
-    if (recorder_.enabled())
-        recorder_.fetchPhase(lines, has_internal, has_leaf,
-                             max_leaf_prims);
 }
 
 Cycle
@@ -252,7 +134,8 @@ TraversalSim::stepFetch(Cycle now)
     bool has_internal = false;
     bool has_leaf = false;
     uint32_t max_leaf_prims = 0;
-    collectFetch(has_internal, has_leaf, max_leaf_prims);
+    cursor_.fetchPhase(fetch_lines_, has_internal, has_leaf,
+                       max_leaf_prims);
 
     // The warp waits for the slowest line; accounting charges the fetch
     // window to the *critical* line's latency split (first line reaching
@@ -278,10 +161,8 @@ TraversalSim::stepFetch(Cycle now)
                        static_cast<unsigned long long>(fetch_done - now));
         if (predictor_ && counters_.steps == 1) {
             // The whole first fetch window of a predicted job — root
-            // fetch plus the predictor-table probes it carries — is the
-            // cost of consulting the predictor. Step index and window
-            // are identical in replay, so the split stays mode-
-            // invariant.
+            // fetch plus the predictor-table probes the tape records
+            // with it — is the cost of consulting the predictor.
             account_.add(CycleLeaf::StallArchPredictor, fetch_done - now);
         } else {
             account_.add(CycleLeaf::Issue, crit.port_wait + crit.hit_base);
@@ -302,8 +183,8 @@ TraversalSim::stepFetch(Cycle now)
         op_latency = config_.timing.box_op;
         // Quantized layouts dequantize the child planes before the
         // ray-box phase; the charge rides the internal-visit latency so
-        // it lands in the intersect leaf in replay mode too (the tape
-        // records has_internal, not the latency).
+        // it lands in the intersect leaf (the tape records
+        // has_internal, not the latency).
         if (config_.node_layout.isQuantized())
             op_latency += config_.timing.node_decode_op;
     }
@@ -318,15 +199,8 @@ TraversalSim::stepFetch(Cycle now)
         // A stackless step where any lane is revisiting an interior
         // node through its parent link repeats box tests the stack
         // machine would not have run; surface that op window as the
-        // architecture's backtracking overhead. The resume flags are
-        // maintained identically in replay.
-        for (uint32_t mask = running_mask_; mask != 0; mask &= mask - 1) {
-            uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
-            if (sl_resume_[i] != kNoResume) {
-                backtracking = true;
-                break;
-            }
-        }
+        // architecture's backtracking overhead.
+        backtracking = (sl_revisit_ & running_mask_) != 0;
     }
     account_.add(backtracking ? CycleLeaf::StallArchBacktrack
                               : CycleLeaf::Intersect,
@@ -345,54 +219,11 @@ TraversalSim::stepFetch(Cycle now)
 }
 
 bool
-TraversalSim::laneStepExecute(uint32_t lane_id, uint64_t top_value)
-{
-    ChildRef current = ChildRef::fromStackValue(top_value);
-
-    if (current.isInternal()) {
-        ++counters_.node_visits;
-        // Quantized layouts traverse the decoded (conservatively
-        // inflated) boxes — exactly what the hardware would compute
-        // after dequantization.
-        const WideNode &node = qbvh_ ? qbvh_->node(current.nodeIndex())
-                                     : bvh_.nodes()[current.nodeIndex()];
-        ChildHits hits = intersectNodeChildren(node, rays_[lane_id]);
-        counters_.box_tests += hits.tests;
-        counters_.instructions += hits.tests;
-        uint64_t pushed[kWideBvhWidth];
-        uint32_t push_count = 0;
-        for (int c = hits.count - 1; c >= 0; --c) {
-            uint64_t value = hits.refs[c].stackValue();
-            stack_.push(lane_id, value, txn_arena_);
-            pushed[push_count++] = value;
-            ++counters_.instructions;
-        }
-        if (recorder_.enabled())
-            recorder_.internalVisit(static_cast<uint32_t>(hits.tests),
-                                    pushed, push_count);
-        return false;
-    }
-
-    ++counters_.leaf_visits;
-    uint32_t tested = 0;
-    bool found =
-        intersectLeaf(scene_, bvh_, current, rays_[lane_id],
-                      hits_[lane_id], job_.any_hit, tested);
-    counters_.prim_tests += tested;
-    counters_.instructions += tested;
-    // Any-hit early termination: the stack is discarded.
-    bool abandoned = found && job_.any_hit;
-    if (recorder_.enabled())
-        recorder_.leafVisit(tested, abandoned);
-    return abandoned;
-}
-
-bool
-TraversalSim::laneStepReplay(uint32_t lane_id, uint64_t top_value)
+TraversalSim::laneStep(uint32_t lane_id, uint64_t top_value)
 {
     TapeCursor::LaneAction action = cursor_.laneAction();
     // Cheap always-on cross-check: the value-exact stack must pop the
-    // same kind of reference the recording run visited, whatever the
+    // same kind of reference the functional pass visited, whatever the
     // stack configuration. A mismatch means the tape belongs to a
     // different workload (or the stack model lost value-exactness).
     SMS_ASSERT(action.is_leaf ==
@@ -417,71 +248,8 @@ TraversalSim::laneStepReplay(uint32_t lane_id, uint64_t top_value)
     return action.abandoned;
 }
 
-void
-TraversalSim::stacklessBacktrack(uint32_t lane_id)
-{
-    uint32_t p = sl_parent_[lane_id];
-    sl_resume_[lane_id] = sl_slot_[lane_id];
-    sl_cur_[lane_id] = ChildRef::makeInternal(p).bits();
-    sl_parent_[lane_id] = links_->parent[p];
-    sl_slot_[lane_id] = links_->slot[p];
-}
-
 TraversalSim::LaneOutcome
-TraversalSim::laneStepStacklessExecute(uint32_t lane_id)
-{
-    ChildRef current = ChildRef::fromBits(sl_cur_[lane_id]);
-
-    if (current.isInternal()) {
-        ++counters_.node_visits;
-        const WideNode &node = qbvh_ ? qbvh_->node(current.nodeIndex())
-                                     : bvh_.nodes()[current.nodeIndex()];
-        SlotHits hits = intersectNodeSlots(node, rays_[lane_id]);
-        counters_.box_tests += static_cast<uint64_t>(hits.tests);
-        counters_.instructions += static_cast<uint64_t>(hits.tests);
-        int resume =
-            sl_resume_[lane_id] == kNoResume ? -1 : sl_resume_[lane_id];
-        int s = nextStacklessSlot(hits, resume);
-        if (s >= 0) {
-            uint64_t value = node.children[s].stackValue();
-            ++counters_.instructions;
-            if (recorder_.enabled())
-                recorder_.internalVisit(static_cast<uint32_t>(hits.tests),
-                                        &value, 1);
-            sl_parent_[lane_id] = current.nodeIndex();
-            sl_slot_[lane_id] = static_cast<uint8_t>(s);
-            sl_cur_[lane_id] = node.children[s].bits();
-            sl_resume_[lane_id] = kNoResume;
-            return LaneOutcome::Continue;
-        }
-        if (recorder_.enabled())
-            recorder_.internalVisit(static_cast<uint32_t>(hits.tests),
-                                    nullptr, 0);
-        if (sl_parent_[lane_id] == StacklessLinks::kNoParent)
-            return LaneOutcome::Done;
-        stacklessBacktrack(lane_id);
-        return LaneOutcome::Continue;
-    }
-
-    ++counters_.leaf_visits;
-    uint32_t tested = 0;
-    bool found = intersectLeaf(scene_, bvh_, current, rays_[lane_id],
-                               hits_[lane_id], job_.any_hit, tested);
-    counters_.prim_tests += tested;
-    counters_.instructions += tested;
-    bool abandoned = found && job_.any_hit;
-    if (recorder_.enabled())
-        recorder_.leafVisit(tested, abandoned);
-    if (abandoned)
-        return LaneOutcome::Abandoned;
-    if (sl_parent_[lane_id] == StacklessLinks::kNoParent)
-        return LaneOutcome::Done; // the root itself was the leaf
-    stacklessBacktrack(lane_id);
-    return LaneOutcome::Continue;
-}
-
-TraversalSim::LaneOutcome
-TraversalSim::laneStepStacklessReplay(uint32_t lane_id)
+TraversalSim::laneStepStackless(uint32_t lane_id)
 {
     TapeCursor::LaneAction action = cursor_.laneAction();
     ChildRef current = ChildRef::fromBits(sl_cur_[lane_id]);
@@ -494,34 +262,30 @@ TraversalSim::laneStepStacklessReplay(uint32_t lane_id)
         counters_.box_tests += action.tests;
         counters_.instructions += action.tests;
         if (action.pushes == 1) {
-            // Descend to the recorded child. The child's slot within
-            // the parent is unknown here, but replay never selects a
-            // resume slot — only the parent chain and the revisit flag
-            // matter, and both are maintained exactly.
-            uint64_t value = cursor_.pushValue();
+            // Descend to the recorded child.
             ++counters_.instructions;
             sl_parent_[lane_id] = current.nodeIndex();
-            sl_slot_[lane_id] = 0;
-            sl_cur_[lane_id] = ChildRef::fromStackValue(value).bits();
-            sl_resume_[lane_id] = kNoResume;
+            sl_cur_[lane_id] =
+                ChildRef::fromStackValue(cursor_.pushValue()).bits();
+            sl_revisit_ &= ~(1u << lane_id);
             return LaneOutcome::Continue;
         }
         SMS_ASSERT(action.pushes == 0,
                    "stackless tape action with %u pushes", action.pushes);
-        if (sl_parent_[lane_id] == StacklessLinks::kNoParent)
-            return LaneOutcome::Done;
-        stacklessBacktrack(lane_id);
-        return LaneOutcome::Continue;
+    } else {
+        ++counters_.leaf_visits;
+        counters_.prim_tests += action.tests;
+        counters_.instructions += action.tests;
+        if (action.abandoned)
+            return LaneOutcome::Abandoned;
     }
-
-    ++counters_.leaf_visits;
-    counters_.prim_tests += action.tests;
-    counters_.instructions += action.tests;
-    if (action.abandoned)
-        return LaneOutcome::Abandoned;
-    if (sl_parent_[lane_id] == StacklessLinks::kNoParent)
+    uint32_t p = sl_parent_[lane_id];
+    if (p == StacklessLinks::kNoParent)
         return LaneOutcome::Done;
-    stacklessBacktrack(lane_id);
+    // Backtrack to the parent, which the next step revisits.
+    sl_cur_[lane_id] = ChildRef::makeInternal(p).bits();
+    sl_parent_[lane_id] = links_->parent[p];
+    sl_revisit_ |= 1u << lane_id;
     return LaneOutcome::Continue;
 }
 
@@ -544,7 +308,6 @@ TraversalSim::stepStack(Cycle now)
         timelineContext().now = start;
     }
     txn_arena_.clear();
-    bool replaying = cursor_.enabled();
     if (links_) {
         // Stackless update: no pops, no pushes, no stack manager — the
         // lane state machine advances in place. The per-lane
@@ -552,8 +315,7 @@ TraversalSim::stepStack(Cycle now)
         for (uint32_t mask = running_mask_; mask != 0; mask &= mask - 1) {
             uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
             ++counters_.instructions;
-            LaneOutcome out = replaying ? laneStepStacklessReplay(i)
-                                        : laneStepStacklessExecute(i);
+            LaneOutcome out = laneStepStackless(i);
             if (out == LaneOutcome::Abandoned)
                 finishLane(i, true);
             else if (out == LaneOutcome::Done)
@@ -570,9 +332,7 @@ TraversalSim::stepStack(Cycle now)
             SMS_ASSERT(popped, "running lane with empty stack");
             ++counters_.instructions;
 
-            bool abandoned = replaying ? laneStepReplay(i, top_value)
-                                       : laneStepExecute(i, top_value);
-            if (abandoned) {
+            if (laneStep(i, top_value)) {
                 finishLane(i, true);
                 continue;
             }
@@ -582,13 +342,12 @@ TraversalSim::stepStack(Cycle now)
     }
 
     if (running_mask_ == 0) {
-        if (recorder_.enabled())
-            recorder_.finish(mismatches_);
         // Lanes the schedule trained write their predictor-table entry
         // back when the job completes. Fire-and-forget stores (same
         // policy as global stack spills): bandwidth is charged, nothing
         // gates on completion. The plan is a pure function of the
-        // workload, so replay issues the identical writes.
+        // workload, so every stack configuration issues the same
+        // writes.
         if (const PredictorJobPlan *plan = predictorPlan()) {
             for (uint32_t mask = plan->write_mask; mask != 0;
                  mask &= mask - 1) {
@@ -597,15 +356,13 @@ TraversalSim::stepStack(Cycle now)
                                  true, TrafficClass::Predictor, start);
             }
         }
-        if (replaying) {
-            SMS_ASSERT(cursor_.atEnd() &&
-                           counters_.steps == cursor_.tape()->steps,
-                       "traversal tape not fully consumed: %llu of %u "
-                       "steps, %s",
-                       static_cast<unsigned long long>(counters_.steps),
-                       cursor_.tape()->steps,
-                       cursor_.atEnd() ? "at end" : "bytes left");
-        }
+        SMS_ASSERT(cursor_.atEnd() &&
+                       counters_.steps == cursor_.tape()->steps,
+                   "traversal tape not fully consumed: %llu of %u "
+                   "steps, %s",
+                   static_cast<unsigned long long>(counters_.steps),
+                   cursor_.tape()->steps,
+                   cursor_.atEnd() ? "at end" : "bytes left");
     }
 
     // The manager's chain runs in the background; the warp retires the

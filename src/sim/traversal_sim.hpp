@@ -11,19 +11,12 @@
  * and the pushes' spills execute in warp-collected rounds against
  * shared and global memory.
  *
- * The traversal itself is value-exact: lanes visit the same nodes in
- * the same order as the functional reference traverser, and final hits
- * are checked against the expectations recorded in the WarpJob.
- *
- * Three operating modes share the timing path:
- *  - execute: run the geometry work (intersectNodeChildren /
- *    intersectLeaf) as before;
- *  - record: execute + append each step's functional outcome to a
- *    JobTape (see traversal_tape.hpp);
- *  - replay: drive the identical step sequence straight from a tape
- *    recorded under ANY stack configuration, with zero geometry work.
- * All SimResult counters derive from the same per-step inputs in every
- * mode, so record/replay runs are counter-identical to execution.
+ * The job's functional outcome — which lines each step fetches, what
+ * each lane visits and pushes, and the oracle verdict — comes from its
+ * JobTape, written once by buildTraversalTape() (traversal_tape.hpp).
+ * TraversalSim does no geometry work: it replays the tape through the
+ * stack model, shared memory and the memory system, under any stack
+ * configuration.
  */
 
 #ifndef SMS_SIM_TRAVERSAL_SIM_HPP
@@ -34,9 +27,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/bvh/node_layout.hpp"
 #include "src/bvh/stackless.hpp"
-#include "src/bvh/traverse.hpp"
 #include "src/bvh/wide_bvh.hpp"
 #include "src/core/warp_stack.hpp"
 #include "src/memory/memory_system.hpp"
@@ -85,40 +76,32 @@ class TraversalSim
 {
   public:
     /**
-     * @param record when non-null, append this job's functional
-     *               traversal to the tape while executing
-     * @param replay when non-null, skip the geometry work and drive
-     *               the timing model from the recorded tape instead
-     * @param qbvh   decoded quantized BVH; required when the config's
-     *               node layout is quantized and geometry executes
+     * @param tape   the job's functional traversal (buildTraversalTape
+     *               under the config's traversal variant); must outlive
+     *               the job
      * @param links  parent/slot links; required when the traversal
-     *               architecture is Stackless (execute and replay)
+     *               architecture is Stackless
      * @param predictor precomputed predictor schedule; required when
-     *               the architecture is Predicted (execute and replay)
+     *               the architecture is Predicted
      */
-    TraversalSim(const Scene &scene, const WideBvh &bvh,
-                 const GpuConfig &config, const WarpJob &job, uint32_t sm,
+    TraversalSim(const WideBvh &bvh, const GpuConfig &config,
+                 const WarpJob &job, const JobTape &tape, uint32_t sm,
                  Addr shared_base, Addr local_base, MemorySystem &mem,
                  SharedMemory &shared_mem, DepthObserver *observer,
-                 JobTape *record = nullptr,
-                 const JobTape *replay = nullptr,
                  Histogram *depth_hist = nullptr,
-                 const QuantizedBvh *qbvh = nullptr,
                  const StacklessLinks *links = nullptr,
                  const PredictorSchedule *predictor = nullptr);
 
     /**
-     * Rearm this instance for a new warp job (scene, BVH, GPU config
-     * and memory system are fixed for the sweep cell). Equivalent to
+     * Rearm this instance for a new warp job (BVH, GPU config and
+     * memory system are fixed for the sweep cell). Equivalent to
      * destroying and reconstructing, but reuses every internal
      * allocation — RT-unit slots recycle their TraversalSim across the
      * thousands of jobs of a run instead of reallocating one per job.
      */
-    void reinit(const WarpJob &job, uint32_t sm, Addr shared_base,
-                Addr local_base, SharedMemory &shared_mem,
-                DepthObserver *observer, JobTape *record = nullptr,
-                const JobTape *replay = nullptr,
-                Histogram *depth_hist = nullptr);
+    void reinit(const WarpJob &job, const JobTape &tape, uint32_t sm,
+                Addr shared_base, Addr local_base, SharedMemory &shared_mem,
+                DepthObserver *observer, Histogram *depth_hist = nullptr);
 
     /** True when every lane finished its traversal. */
     bool done() const { return running_mask_ == 0; }
@@ -156,8 +139,8 @@ class TraversalSim
      */
     const CycleAccount &account() const { return account_; }
 
-    /** Lanes whose final hit disagreed with the functional oracle. */
-    uint32_t mismatches() const { return mismatches_; }
+    /** Lanes whose final hit disagreed with the oracle (from the tape). */
+    uint32_t mismatches() const { return cursor_.tape()->mismatches; }
 
     const WarpJob &job() const { return job_; }
 
@@ -166,36 +149,21 @@ class TraversalSim
     void seedJob(DepthObserver *observer);
 
     /**
-     * Gather this step's fetch lines and intersection-latency inputs
-     * from the lanes' stack tops (execute/record) or from the tape
-     * (replay).
-     */
-    void collectFetch(bool &has_internal, bool &has_leaf,
-                      uint32_t &max_leaf_prims);
-
-    /**
-     * Apply one lane's traversal update after its pop: geometry work
-     * in execute/record mode, tape-driven in replay mode. Stack
+     * Apply one lane's recorded action after its pop. Stack
      * transactions collect into txn_arena_.
      * @return true when the lane terminated early (any-hit found)
      */
-    bool laneStepExecute(uint32_t lane_id, uint64_t top_value);
-    bool laneStepReplay(uint32_t lane_id, uint64_t top_value);
+    bool laneStep(uint32_t lane_id, uint64_t top_value);
 
     /** How a stackless lane step left the lane. */
     enum class LaneOutcome : uint8_t { Continue, Done, Abandoned };
 
     /**
-     * One stackless lane step: visit sl_cur_, then descend to the next
-     * unvisited child or backtrack through the parent link. Records /
-     * consumes the same tape actions as the stack machine (descend =
-     * internalVisit with one push, backtrack = zero pushes).
+     * One stackless lane step: a recorded visit with one push descends
+     * to that child; any other visit backtracks through the parent link
+     * (or ends the lane at the root).
      */
-    LaneOutcome laneStepStacklessExecute(uint32_t lane_id);
-    LaneOutcome laneStepStacklessReplay(uint32_t lane_id);
-
-    /** Move a stackless lane back to the parent of its current node. */
-    void stacklessBacktrack(uint32_t lane_id);
+    LaneOutcome laneStepStackless(uint32_t lane_id);
 
     /** This job's predictor plan; null unless the arch is Predicted. */
     const PredictorJobPlan *predictorPlan() const;
@@ -225,10 +193,7 @@ class TraversalSim
     std::vector<SharedLaneRequest> shared_loads_;
     std::vector<SharedLaneRequest> shared_stores_;
 
-    const Scene &scene_;
     const WideBvh &bvh_;
-    /** Decoded quantized view; null under the exact layout or replay. */
-    const QuantizedBvh *qbvh_;
     /** Parent/slot links; non-null exactly when the arch is Stackless. */
     const StacklessLinks *links_;
     /** Predictor schedule; non-null exactly when the arch is Predicted. */
@@ -239,7 +204,6 @@ class TraversalSim
     MemorySystem &mem_;
     SharedMemory *shared_mem_; ///< per-admission (reinit rebinds)
     WarpStackModel stack_;
-    TapeWriter recorder_;
     TapeCursor cursor_;
 
     /**
@@ -257,28 +221,19 @@ class TraversalSim
     Cycle chain_start_ = 0;
     CycleAccount account_;
 
-    // Per-lane job state, struct-of-arrays: rays and hit records in
-    // parallel arrays, the running flags folded into one bitmask whose
-    // set bits drive the per-lane loops (count-trailing-zeros walk).
-    std::array<Ray, kWarpSize> rays_;
-    std::array<HitRecord, kWarpSize> hits_;
+    // The running lanes, one bit each; the set bits drive the per-lane
+    // loops (count-trailing-zeros walk).
     uint32_t running_mask_ = 0; ///< bit i: lane i still traversing
 
-    /** sl_resume_ sentinel: the lane is on its first visit of sl_cur_. */
-    static constexpr uint8_t kNoResume = 0xff;
     // Stackless lane machine (arch == Stackless only): the child
-    // reference being visited, the parent chain position it was reached
-    // through, and the slot the lane just returned from (kNoResume on a
-    // first visit — a set resume slot marks the step as a backtracking
-    // revisit for the stall.arch.backtrack accounting leaf). Replay
-    // maintains the same state from tape actions plus parent links; the
-    // slot values are only consulted by execute's resume selection.
+    // reference being visited and the parent it was reached through,
+    // kept from the tape's actions plus the parent links. Bit i of
+    // sl_revisit_ marks lane i as revisiting a node it backtracked to,
+    // for the stall.arch.backtrack accounting leaf.
     std::array<uint32_t, kWarpSize> sl_cur_{};
     std::array<uint32_t, kWarpSize> sl_parent_{};
-    std::array<uint8_t, kWarpSize> sl_slot_{};
-    std::array<uint8_t, kWarpSize> sl_resume_{};
+    uint32_t sl_revisit_ = 0;
     JobCounters counters_;
-    uint32_t mismatches_ = 0;
     /**
      * The warp's stack manager is busy until this cycle completing the
      * previous iteration's spill/reload chain (Fig. 11 has one manager

@@ -1,18 +1,19 @@
 /**
  * @file
  * Traversal tape: the compact record of one workload's *functional*
- * traversal, replayable under any stack configuration.
+ * traversal, which the timing model replays under any stack
+ * configuration.
  *
  * SMS is a complete hierarchical stack (RB -> SH -> global): pops always
  * return the true next node, so the per-lane visit sequence — which
  * node/leaf each lane fetches, which children it pushes, how many
  * box/primitive tests it performs — is identical across every stack
  * configuration (DESIGN.md "config-invariance"). Only *timing* (spills,
- * bank conflicts, cache/DRAM behaviour) changes. A sweep therefore
- * needs the geometry work exactly once per scene: the first cell
- * records each warp job's per-step outcomes onto a tape, and every
- * other cell replays the tape through the full timing model
- * (WarpStackModel, SharedMemory, MemorySystem) with zero geometry work.
+ * bank conflicts, cache/DRAM behaviour) changes. buildTraversalTape()
+ * therefore does the geometry work once per (workload, traversal
+ * variant), untimed, and every timing run replays the tape through the
+ * full timing model (WarpStackModel, SharedMemory, MemorySystem) with
+ * zero geometry work.
  *
  * Encoding: one append-only byte stream per warp job ("per-warp
  * chunks"), varint-based. Each step stores the coalesced fetch-line
@@ -23,9 +24,7 @@
  * Child references are stored kind-swizzled so internal nodes encode as
  * their small node index rather than a tag-in-the-high-bits constant.
  *
- * All SimResult counters derive from the same per-step inputs in both
- * modes, so replay is counter-identical by construction; the replayer
- * additionally asserts that every popped stack entry matches the
+ * The replayer asserts that every popped stack entry matches the
  * recorded visit kind, catching tape/workload mismatches immediately.
  */
 
@@ -39,6 +38,8 @@
 
 #include "src/bvh/wide_bvh.hpp"
 #include "src/memory/request.hpp"
+#include "src/scene/scene.hpp"
+#include "src/sim/gpu_config.hpp"
 #include "src/sim/warp_job.hpp"
 #include "src/util/check.hpp"
 
@@ -78,34 +79,16 @@ fetchLineClass(uint64_t packed)
 /**
  * Tape format version. Bump on ANY change to the step encoding or to
  * the meaning of recorded fields; versioned on-disk tapes from older
- * builds then fail validation and are silently re-recorded.
+ * builds then fail validation and are silently rebuilt.
  */
 constexpr uint32_t kTraversalTapeVersion = 1;
-
-/** SMS_TRAVERSAL_TAPE operating mode. */
-enum class TapeMode : uint8_t
-{
-    Off,  ///< every sweep cell executes the geometry work
-    Mem,  ///< record the first cell per scene, replay the rest
-    Disk, ///< Mem + persist tapes alongside the .wkld snapshot cache
-};
-
-/**
- * Mode from SMS_TRAVERSAL_TAPE=off|mem|disk (default disk when
- * SMS_WORKLOAD_CACHE names a tape-persistence directory, else mem;
- * unknown values warn and fall back to the default).
- */
-TapeMode traversalTapeMode();
-
-/** Display name of a tape mode ("off"/"mem"/"disk"). */
-const char *tapeModeName(TapeMode mode);
 
 /** Counters over all tape activity of this process (thread-safe). */
 struct TraversalTapeStats
 {
-    uint64_t jobs_recorded = 0; ///< warp jobs written to a tape
+    uint64_t jobs_recorded = 0; ///< warp jobs buildTraversalTape wrote
     uint64_t jobs_replayed = 0; ///< warp jobs driven from a tape
-    uint64_t bytes = 0;         ///< total recorded tape bytes
+    uint64_t bytes = 0;         ///< total bytes buildTraversalTape wrote
     uint64_t disk_loads = 0;    ///< tapes loaded from disk
     uint64_t disk_stores = 0;   ///< tapes persisted to disk
     uint64_t failures = 0;      ///< invalid/unreadable tapes discarded
@@ -122,7 +105,7 @@ struct JobTape
 {
     std::vector<uint8_t> bytes;
     uint32_t steps = 0;      ///< pipeline iterations recorded
-    uint32_t mismatches = 0; ///< oracle mismatches seen while recording
+    uint32_t mismatches = 0; ///< lanes whose hit disagreed with the oracle
 };
 
 /** One workload's tape: per-job chunks plus the identity fingerprint. */
@@ -150,6 +133,23 @@ struct TraversalTape
  */
 uint64_t workloadFingerprint(const WarpJobList &jobs, const WideBvh &bvh);
 
+/**
+ * The functional pass: walk @p jobs warp-synchronously over @p bvh with
+ * the machine @p variant selects (per-lane stack, stackless parent
+ * links, or the predicted stack machine) on exact or quantized nodes,
+ * and write every job's per-step outcomes to its tape. Untimed, and
+ * takes no stack configuration, so a tape cannot depend on one.
+ *
+ * Each lane's final hit is checked against the oracle in its WarpJob;
+ * JobTape::mismatches counts the lanes that disagree. @p jobs is the
+ * stream as simulated (already reordered when the variant reorders),
+ * with job ids equal to their index. The tape's fingerprint is
+ * workloadFingerprint(jobs, bvh) xor the variant digest.
+ */
+TraversalTape buildTraversalTape(const Scene &scene, const WideBvh &bvh,
+                                 const WarpJobList &jobs,
+                                 const TraversalVariant &variant);
+
 // ---------------------------------------------------------------------
 // Varint primitives (LEB128). Inline: both sides sit on the sweep's
 // hottest loop.
@@ -165,13 +165,11 @@ tapePutVarint(std::vector<uint8_t> &out, uint64_t v)
     out.push_back(static_cast<uint8_t>(v));
 }
 
-/** Writes the step records of one JobTape. */
+/** Writes the step records of one JobTape (buildTraversalTape). */
 class TapeWriter
 {
   public:
     explicit TapeWriter(JobTape *tape) : tape_(tape) {}
-
-    bool enabled() const { return tape_ != nullptr; }
 
     /**
      * Record one step's fetch phase: the coalesced (line, class) list
@@ -235,16 +233,10 @@ class TapeWriter
 class TapeCursor
 {
   public:
-    TapeCursor() = default;
-    explicit TapeCursor(const JobTape *tape) : tape_(tape)
-    {
-        if (tape_) {
-            data_ = tape_->bytes.data();
-            size_ = tape_->bytes.size();
-        }
-    }
+    explicit TapeCursor(const JobTape *tape)
+        : tape_(tape), data_(tape->bytes.data()), size_(tape->bytes.size())
+    {}
 
-    bool enabled() const { return tape_ != nullptr; }
     const JobTape *tape() const { return tape_; }
 
     /** Inverse of TapeWriter::fetchPhase. */
@@ -330,14 +322,11 @@ class TapeCursor
         }
     }
 
-    const JobTape *tape_ = nullptr;
-    const uint8_t *data_ = nullptr;
-    size_t size_ = 0;
+    const JobTape *tape_;
+    const uint8_t *data_;
+    size_t size_;
     size_t off_ = 0;
 };
-
-/** Account a finished recording (stats; called once per tape). */
-void noteTapeRecorded(const TraversalTape &tape);
 
 /** Account one replayed run over @p tape (stats). */
 void noteTapeReplayed(const TraversalTape &tape);

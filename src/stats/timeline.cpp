@@ -36,9 +36,11 @@ struct Event
 {
     const char *name = nullptr;
     const char *value_name = nullptr;
+    const char *value2_name = nullptr;
     uint64_t ts = 0;
     uint64_t dur = 0;
     uint64_t value = 0;
+    uint64_t value2 = 0;
     uint32_t pid = 0;
     uint32_t tid = 0;
     TimelineCategory cat = TimelineCategory::Sweep;
@@ -210,6 +212,12 @@ appendEventJson(std::string &out, const Event &e)
         appendEscaped(out, e.value_name);
         out += "\":";
         appendU64(out, e.value);
+        if (e.value2_name) {
+            out += ",\"";
+            appendEscaped(out, e.value2_name);
+            out += "\":";
+            appendU64(out, e.value2);
+        }
         out += "}";
     }
     out += "}";
@@ -466,16 +474,19 @@ timelineSpan(TimelineCategory cat, const char *name, uint64_t ts,
 void
 timelineSpanAt(TimelineCategory cat, const char *name, uint32_t pid,
                uint32_t tid, uint64_t ts, uint64_t dur, uint64_t value,
-               const char *value_name)
+               const char *value_name, uint64_t value2,
+               const char *value2_name)
 {
     if (!timelineOn(cat))
         return;
     Event e;
     e.name = name;
     e.value_name = value_name;
+    e.value2_name = value2_name;
     e.ts = ts;
     e.dur = dur;
     e.value = value;
+    e.value2 = value2;
     e.pid = pid;
     e.tid = tid;
     e.cat = cat;

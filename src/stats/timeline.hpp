@@ -206,11 +206,15 @@ void timelineSpan(TimelineCategory cat, const char *name, uint64_t ts,
                   uint64_t dur, uint64_t value = 0,
                   const char *value_name = nullptr);
 
-/** Duration event on an explicit (pid, tid) track. */
+/**
+ * Duration event on an explicit (pid, tid) track, with up to two named
+ * args.
+ */
 void timelineSpanAt(TimelineCategory cat, const char *name,
                     uint32_t pid, uint32_t tid, uint64_t ts,
                     uint64_t dur, uint64_t value = 0,
-                    const char *value_name = nullptr);
+                    const char *value_name = nullptr, uint64_t value2 = 0,
+                    const char *value2_name = nullptr);
 
 /** Instant event at the context's current cycle. */
 void timelineInstantNow(TimelineCategory cat, const char *name,

@@ -5,7 +5,6 @@
 
 #include "src/trace/render.hpp"
 
-#include "src/bvh/node_layout.hpp"
 #include "src/sim/ray_reorder.hpp"
 #include "src/stats/timeline.hpp"
 #include "src/trace/workload_cache.hpp"
@@ -58,37 +57,51 @@ configDisplayName(const GpuConfig &config)
     return name;
 }
 
+namespace {
+
+/**
+ * The job stream as simulated under @p order: the workload's own, or
+ * reordered into @p storage. Reordering is a deterministic pure
+ * function of the prepared workload, so tapes and cached results key
+ * on it via the variant digest.
+ */
+const WarpJobList &
+simulatedJobs(const Workload &workload, const RayOrderConfig &order,
+              WarpJobList &storage)
+{
+    if (!order.active())
+        return workload.render.jobs;
+    storage = reorderJobs(workload.render.jobs, workload.bvh, order);
+    return storage;
+}
+
+} // namespace
+
+TraversalTape
+buildWorkloadTape(const Workload &workload, const TraversalVariant &variant)
+{
+    WarpJobList storage;
+    return buildTraversalTape(workload.scene, workload.bvh,
+                              simulatedJobs(workload, variant.order,
+                                            storage),
+                              variant);
+}
+
 SimResult
 runWorkload(const Workload &workload, const GpuConfig &config,
             const SimOptions &options)
 {
-    // The traversal variant reshapes the simulator inputs: reordering
-    // repacks the job stream, quantization swaps the intersected boxes.
-    // Both are deterministic pure functions of the prepared workload,
-    // so tapes and cached results key on them via the variant digest.
-    const WarpJobList *jobs = &workload.render.jobs;
-    WarpJobList reordered;
-    if (config.ray_order.active()) {
-        reordered =
-            reorderJobs(workload.render.jobs, workload.bvh,
-                        config.ray_order);
-        jobs = &reordered;
-    }
+    WarpJobList storage;
+    const WarpJobList &jobs =
+        simulatedJobs(workload, config.ray_order, storage);
     SimOptions opts = options;
-    QuantizedBvh qbvh;
-    if (config.node_layout.isQuantized() && !options.replay_tape) {
-        // Replay never touches geometry, so the decode pass is skipped
-        // there; record/execute cells intersect the decoded boxes.
-        qbvh.build(workload.bvh, config.node_layout);
-        opts.quantized_bvh = &qbvh;
-    }
     if (timelineAnyOn() && opts.timeline_label.empty()) {
         // Default trace-process label: "scene config (cycles)".
         opts.timeline_label = std::string(sceneName(workload.id)) + " " +
                               configDisplayName(config) + " (cycles)";
     }
     SimResult result =
-        simulateJobs(workload.scene, workload.bvh, *jobs, config, opts);
+        simulateJobs(workload.scene, workload.bvh, jobs, config, opts);
     SMS_ASSERT(result.mismatches == 0,
                "timing simulation diverged from the functional oracle "
                "(%u lanes) on scene %s under %s",

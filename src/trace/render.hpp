@@ -14,6 +14,7 @@
 #include "src/bvh/wide_bvh.hpp"
 #include "src/scene/registry.hpp"
 #include "src/sim/gpu_sim.hpp"
+#include "src/sim/traversal_tape.hpp"
 #include "src/trace/path_tracer.hpp"
 
 namespace sms {
@@ -59,7 +60,18 @@ GpuConfig makeGpuConfig(const StackConfig &stack,
  */
 std::string configDisplayName(const GpuConfig &config);
 
-/** Simulate a prepared workload under one configuration. */
+/**
+ * The functional pass over a prepared workload: buildTraversalTape() of
+ * its job stream as simulated under @p variant (reordered when the
+ * variant reorders).
+ */
+TraversalTape buildWorkloadTape(const Workload &workload,
+                                const TraversalVariant &variant);
+
+/**
+ * Simulate a prepared workload under one configuration. options.tape,
+ * when set, must be buildWorkloadTape(workload, config.variant()).
+ */
 SimResult runWorkload(const Workload &workload, const GpuConfig &config,
                       const SimOptions &options = {});
 

@@ -540,7 +540,7 @@ loadTraversalTape(const std::string &dir, const Workload &workload,
     if (!readFile(path, data))
         return false; // quiet miss: never recorded here
     auto invalid = [&](const char *why) {
-        warn("traversal tape %s: %s; re-recording", path.c_str(), why);
+        warn("traversal tape %s: %s; rebuilding", path.c_str(), why);
         noteTapeFailure();
         return false;
     };

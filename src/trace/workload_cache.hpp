@@ -108,7 +108,7 @@ std::string traversalTapePath(const std::string &dir, SceneId id,
  * A missing file is a quiet miss; an invalid file (bad magic, version,
  * checksum, truncation) or one whose fingerprint does not match the
  * workload's job stream counts a tape failure and is treated as a miss
- * so the caller re-records (and rewrites) the tape. The variant-aware
+ * so the caller rebuilds (and rewrites) the tape. The variant-aware
  * overload validates against the variant's job stream (reordered when
  * it reorders) xor the variant digest; the plain overload assumes the
  * default variant.

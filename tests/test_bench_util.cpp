@@ -54,10 +54,10 @@ makeSweep(const std::vector<std::vector<uint64_t>> &instructions,
 {
     SweepResult sweep;
     size_t num_configs = instructions[0].size();
-    sweep.configs.push_back(StackConfig::baseline(8));
+    sweep.columns.resize(num_configs);
+    sweep.columns[0].stack = StackConfig::baseline(8);
     for (size_t c = 1; c < num_configs; ++c)
-        sweep.configs.push_back(StackConfig::sms());
-    sweep.l1_overrides.assign(num_configs, 0);
+        sweep.columns[c].stack = StackConfig::sms();
     for (size_t s = 0; s < instructions.size(); ++s) {
         sweep.scene_names.push_back("S" + std::to_string(s));
         std::vector<SimResult> row(num_configs);
@@ -85,6 +85,26 @@ TEST(NormIpc, DegenerateBaselineIsNanNotFatal)
     SweepResult sweep =
         makeSweep({{0, 900}}, {{100, 90}});
     EXPECT_TRUE(std::isnan(normIpc(sweep, 0, 1)));
+}
+
+TEST(NormIpc, WarningsNameTheFullColumnLabel)
+{
+    // A variant column is reported by its display label, not by its
+    // bare stack name.
+    SweepResult sweep = makeSweep({{800, 0}}, {{0, 90}});
+    sweep.columns[1].stack = StackConfig::baseline(8);
+    sweep.columns[1].arch = TraversalArchConfig::stackless();
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(std::isnan(normIpc(sweep, 0, 1)));
+    normOffchip(sweep, 0, 1);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("normIpc: degenerate IPC for scene S0 (config "
+                       "'RB_8+sl'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("normOffchip: scene S0 config 'RB_8+sl'"),
+              std::string::npos)
+        << err;
 }
 
 TEST(MeanNormIpc, SkipsDegenerateCellsAndStaysFinite)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Allocation regression test for the tape-replay hot loop. A counting
- * global operator new measures heap allocations while a recorded Tiny
- * SHIP workload replays under RB_4+SH_4+SK+RA, whose stack manager
+ * global operator new measures heap allocations while a Tiny SHIP
+ * workload's tape replays under RB_4+SH_4+SK+RA, whose stack manager
  * prices a shared-memory bank-conflict count on every SH round. The
  * replay must stay far below one allocation per simulated step.
  */
@@ -48,19 +48,19 @@ namespace {
 TEST(ReplayAllocations, FewerThanHalfAnAllocationPerStep)
 {
     auto w = prepareWorkload(SceneId::SHIP, ScaleProfile::Tiny);
-    TraversalTape tape;
-    SimOptions record;
-    record.record_tape = &tape;
     GpuConfig config = makeGpuConfig(StackConfig::sms(4, 4));
-    SimResult recorded = runWorkload(*w, config, record);
+    TraversalTape tape = buildWorkloadTape(*w, config.variant());
 
     SimOptions replay;
-    replay.replay_tape = &tape;
+    replay.tape = &tape;
     uint64_t before = g_allocations.load();
     SimResult replayed = runWorkload(*w, config, replay);
     uint64_t allocations = g_allocations.load() - before;
 
-    ASSERT_EQ(replayed.ops.steps, recorded.ops.steps);
+    uint64_t tape_steps = 0;
+    for (const JobTape &job : tape.jobs)
+        tape_steps += job.steps;
+    ASSERT_EQ(replayed.ops.steps, tape_steps);
     ASSERT_GT(replayed.ops.steps, 0u);
     // The workload must actually drive the SH stack's bank-conflict
     // count, or this test pins nothing.

@@ -313,12 +313,16 @@ TEST(ResultCache, WarmSweepSimulatesNothing)
         for (CellOrigin origin : row)
             EXPECT_EQ(origin, CellOrigin::Simulated);
 
-    // The warm sweep must be served entirely from the cache: zero
-    // simulateJobs() calls, every cell a hit, counters identical.
+    // The warm sweep must be served entirely from the cache: no tape
+    // built, zero simulateJobs() calls, every cell a hit, counters
+    // identical.
     resetResultCacheStats();
     resetSimulateJobsCallCount();
+    resetTraversalTapeStats();
     SweepResult warm = runSweep(workloads, configs, {}, 2);
     EXPECT_EQ(simulateJobsCallCount(), 0u);
+    EXPECT_EQ(traversalTapeStats().jobs_recorded, 0u);
+    EXPECT_EQ(traversalTapeStats().jobs_replayed, 0u);
     ResultCacheStats after_warm = resultCacheStats();
     EXPECT_EQ(after_warm.hits, 4u);
     EXPECT_EQ(after_warm.misses, 0u);

@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "src/stats/report.hpp"
 #include "src/stats/timeline.hpp"
 #include "src/trace/render.hpp"
@@ -401,6 +406,68 @@ TEST_F(TimelineTest, EndToEndTinySceneProducesMultiCategoryTrace)
         }
     }
     EXPECT_TRUE(saw_label);
+}
+
+TEST_F(TimelineTest, SweepTapeWorkHasSpans)
+{
+    // Building, loading and storing tapes each get a span on the
+    // sweep's wall-clock process, on a row naming the scene and
+    // variant, with the tape's jobs and bytes as args.
+    enable(static_cast<uint32_t>(TimelineCategory::Sweep));
+    RenderParams params;
+    params.width = 16;
+    params.height = 16;
+    params.max_bounces = 1;
+    std::vector<std::shared_ptr<Workload>> workloads = {
+        prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny, &params)};
+    std::vector<benchutil::SweepColumn> columns(2);
+    columns[1].layout = NodeLayoutConfig::quantized(8);
+
+    const std::string dir = "/tmp/sms_timeline_tapes_" +
+                            std::to_string(static_cast<long>(::getpid()));
+    const char *old_cache = std::getenv("SMS_WORKLOAD_CACHE");
+    std::string saved = old_cache ? old_cache : "";
+    ::setenv("SMS_WORKLOAD_CACHE", dir.c_str(), 1);
+    benchutil::runSweep(workloads, columns, 1); // builds and stores
+    benchutil::runSweep(workloads, columns, 1); // loads
+    if (old_cache)
+        ::setenv("SMS_WORKLOAD_CACHE", saved.c_str(), 1);
+    else
+        ::unsetenv("SMS_WORKLOAD_CACHE");
+    std::string rm = "rm -rf '" + dir + "'";
+    [[maybe_unused]] int rc = std::system(rm.c_str());
+
+    JsonValue doc = exportAndParse();
+    std::map<std::string, int> spans;
+    std::set<std::string> rows;
+    for (const JsonValue &e : doc.find("traceEvents")->elements()) {
+        std::string name = e.stringOr("name", "");
+        if (e.stringOr("ph", "") == "M" && name == "thread_name")
+            rows.insert(e.find("args")->stringOr("name", ""));
+        if (e.stringOr("ph", "") != "X" || name.rfind("tape_", 0) != 0)
+            continue;
+        EXPECT_EQ(e.stringOr("cat", ""), "sweep");
+        const JsonValue *args = e.find("args");
+        ASSERT_NE(args, nullptr) << name;
+        // The first sweep's loads miss: no tape, zero jobs and bytes.
+        if (args->numberOr("jobs", 0.0) == 0.0) {
+            EXPECT_EQ(name, "tape_load");
+            EXPECT_EQ(args->numberOr("bytes", -1.0), 0.0);
+            ++spans["tape_load (miss)"];
+            continue;
+        }
+        EXPECT_EQ(args->numberOr("jobs", 0.0),
+                  static_cast<double>(workloads[0]->render.jobs.size()))
+            << name;
+        EXPECT_GT(args->numberOr("bytes", 0.0), 0.0) << name;
+        ++spans[name];
+    }
+    EXPECT_EQ(spans["tape_build"], 2);
+    EXPECT_EQ(spans["tape_store"], 2);
+    EXPECT_EQ(spans["tape_load"], 2);
+    EXPECT_EQ(spans["tape_load (miss)"], 2);
+    EXPECT_EQ(rows.count("BUNNY tape"), 1u);
+    EXPECT_EQ(rows.count("BUNNY q8 tape"), 1u);
 }
 
 TEST_F(TimelineTest, ShutdownDiscardsRecordingAndDisables)

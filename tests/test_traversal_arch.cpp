@@ -6,8 +6,10 @@
  * predictor's hash/schedule semantics, end-to-end simulation of both
  * architectures against the functional oracle (zero stack traffic for
  * stackless, predictor-table traffic for predicted, the stall.arch.*
- * accounting leaves, zero-epsilon conservation), tape record/replay
- * counter identity, and variant/result-cache digest distinctness.
+ * accounting leaves, zero-epsilon conservation), one tape replayed
+ * under two stack configurations, and variant/result-cache digest
+ * distinctness. test_variant_pins pins both machines' tapes and
+ * results byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -365,57 +367,21 @@ TEST_F(TraversalArchWorkload, PredictedMatchesOracleWithPredictorTraffic)
     EXPECT_TRUE(r.accounting.conserved());
 }
 
-TEST_F(TraversalArchWorkload, ArchTapeReplayIsCounterIdentical)
-{
-    for (TraversalArchConfig arch : {TraversalArchConfig::stackless(),
-                                     TraversalArchConfig::predicted()}) {
-        GpuConfig config = makeGpuConfig(StackConfig::sms());
-        config.traversal_arch = arch;
-
-        TraversalTape tape;
-        SimOptions record;
-        record.record_tape = &tape;
-        SimResult a = runWorkload(*workload_, config, record);
-
-        SimOptions replay;
-        replay.replay_tape = &tape;
-        SimResult b = runWorkload(*workload_, config, replay);
-
-        EXPECT_EQ(b.cycles, a.cycles) << arch.name();
-        EXPECT_EQ(b.instructions, a.instructions) << arch.name();
-        EXPECT_EQ(b.offchip_accesses, a.offchip_accesses) << arch.name();
-        EXPECT_EQ(b.ops.node_visits, a.ops.node_visits) << arch.name();
-        EXPECT_EQ(b.ops.prim_tests, a.ops.prim_tests) << arch.name();
-        EXPECT_EQ(b.accounting.leaf(CycleLeaf::StallArchBacktrack),
-                  a.accounting.leaf(CycleLeaf::StallArchBacktrack))
-            << arch.name();
-        EXPECT_EQ(b.accounting.leaf(CycleLeaf::StallArchPredictor),
-                  a.accounting.leaf(CycleLeaf::StallArchPredictor))
-            << arch.name();
-        for (int cls = 0; cls < kTrafficClassCount; ++cls) {
-            EXPECT_EQ(b.l1_class_misses[cls], a.l1_class_misses[cls]);
-            EXPECT_EQ(b.l2_class_misses[cls], a.l2_class_misses[cls]);
-        }
-    }
-}
-
 TEST_F(TraversalArchWorkload, ArchTapeReplaysUnderAnyStackConfig)
 {
-    // A tape recorded under one stack configuration drives the timing
-    // model under another (the repo-wide tape contract); the traversal
-    // work counters are configuration-independent.
+    // One stackless tape drives the timing model under two stack
+    // configurations (the repo-wide tape contract); the traversal work
+    // counters are configuration-independent.
     GpuConfig rb = makeGpuConfig(StackConfig::baseline(8));
     rb.traversal_arch = TraversalArchConfig::stackless();
-    TraversalTape tape;
-    SimOptions record;
-    record.record_tape = &tape;
-    SimResult a = runWorkload(*workload_, rb, record);
+    TraversalTape tape = buildWorkloadTape(*workload_, rb.variant());
+    SimOptions options;
+    options.tape = &tape;
+    SimResult a = runWorkload(*workload_, rb, options);
 
     GpuConfig sms = makeGpuConfig(StackConfig::sms());
     sms.traversal_arch = TraversalArchConfig::stackless();
-    SimOptions replay;
-    replay.replay_tape = &tape;
-    SimResult b = runWorkload(*workload_, sms, replay);
+    SimResult b = runWorkload(*workload_, sms, options);
 
     EXPECT_EQ(b.ops.node_visits, a.ops.node_visits);
     EXPECT_EQ(b.ops.leaf_visits, a.ops.leaf_visits);

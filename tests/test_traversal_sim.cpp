@@ -1,13 +1,15 @@
 /**
  * @file
- * Direct tests of the RT-unit pipeline model (TraversalSim) and the
- * GpuConfig plumbing, at a finer grain than the whole-GPU suite.
+ * Direct tests of the RT-unit pipeline model (TraversalSim) replaying
+ * one-job tapes from the functional pass, and of the GpuConfig
+ * plumbing, at a finer grain than the whole-GPU suite.
  */
 
 #include <gtest/gtest.h>
 
 #include "src/bvh/traverse.hpp"
 #include "src/sim/traversal_sim.hpp"
+#include "src/sim/traversal_tape.hpp"
 #include "src/trace/render.hpp"
 
 namespace sms {
@@ -59,14 +61,23 @@ struct Rig
           mem(config.resolvedMemConfig(), config.num_sms),
           shared(config.shared_latency)
     {}
+
+    /** The functional pass's tape of @p job, run as job 0. */
+    JobTape
+    tape(const WarpJob &job) const
+    {
+        return buildTraversalTape(scene, bvh, {job}, TraversalVariant{})
+            .jobs[0];
+    }
 };
 
 TEST(TraversalSim, RunsSingleLaneJobToCompletion)
 {
     Rig rig;
     WarpJob job = singleLaneJob(rig.scene, rig.bvh);
-    TraversalSim sim(rig.scene, rig.bvh, rig.config, job, 0, 0,
-                     0x100000000ull, rig.mem, rig.shared, nullptr);
+    JobTape tape = rig.tape(job);
+    TraversalSim sim(rig.bvh, rig.config, job, tape, 0, 0, 0x100000000ull,
+                     rig.mem, rig.shared, nullptr);
     ASSERT_FALSE(sim.done());
 
     Cycle now = 0;
@@ -92,8 +103,9 @@ TEST(TraversalSim, InactiveJobCompletesImmediately)
     Rig rig;
     WarpJob job;
     job.job_id = 0;
-    TraversalSim sim(rig.scene, rig.bvh, rig.config, job, 0, 0,
-                     0x100000000ull, rig.mem, rig.shared, nullptr);
+    JobTape tape = rig.tape(job);
+    TraversalSim sim(rig.bvh, rig.config, job, tape, 0, 0, 0x100000000ull,
+                     rig.mem, rig.shared, nullptr);
     EXPECT_TRUE(sim.done());
     EXPECT_EQ(sim.mismatches(), 0u);
 }
@@ -101,12 +113,16 @@ TEST(TraversalSim, InactiveJobCompletesImmediately)
 TEST(TraversalSim, WrongOracleIsDetected)
 {
     // The validation path must actually fire: corrupt the oracle and
-    // expect a mismatch to be reported.
+    // expect the functional pass to count a mismatch, which the timing
+    // run reports from the tape.
     Rig rig;
     WarpJob job = singleLaneJob(rig.scene, rig.bvh);
+    EXPECT_EQ(rig.tape(job).mismatches, 0u);
     job.expected_hit[0] = !job.expected_hit[0];
-    TraversalSim sim(rig.scene, rig.bvh, rig.config, job, 0, 0,
-                     0x100000000ull, rig.mem, rig.shared, nullptr);
+    JobTape tape = rig.tape(job);
+    EXPECT_EQ(tape.mismatches, 1u);
+    TraversalSim sim(rig.bvh, rig.config, job, tape, 0, 0, 0x100000000ull,
+                     rig.mem, rig.shared, nullptr);
     Cycle now = 0;
     while (!sim.done())
         now = sim.stepStack(sim.stepFetch(now));
@@ -123,7 +139,8 @@ TEST(TraversalSim, AnyHitTerminatesEarly)
     shadow.expected_hit[0] = true;
 
     auto run_steps = [&](const WarpJob &job) {
-        TraversalSim sim(rig.scene, rig.bvh, rig.config, job, 0, 0,
+        JobTape tape = rig.tape(job);
+        TraversalSim sim(rig.bvh, rig.config, job, tape, 0, 0,
                          0x100000000ull, rig.mem, rig.shared, nullptr);
         Cycle now = 0;
         while (!sim.done())
@@ -156,8 +173,9 @@ TEST(TraversalSim, DepthObserverReceivesRootPush)
     Rig rig;
     WarpJob job = singleLaneJob(rig.scene, rig.bvh);
     Counter obs;
-    TraversalSim sim(rig.scene, rig.bvh, rig.config, job, 0, 0,
-                     0x100000000ull, rig.mem, rig.shared, &obs);
+    JobTape tape = rig.tape(job);
+    TraversalSim sim(rig.bvh, rig.config, job, tape, 0, 0, 0x100000000ull,
+                     rig.mem, rig.shared, &obs);
     Cycle now = 0;
     while (!sim.done())
         now = sim.stepStack(sim.stepFetch(now));
@@ -169,8 +187,9 @@ TEST(TraversalSim, FetchTouchesNodeAndPrimitiveTraffic)
 {
     Rig rig;
     WarpJob job = singleLaneJob(rig.scene, rig.bvh);
-    TraversalSim sim(rig.scene, rig.bvh, rig.config, job, 0, 0,
-                     0x100000000ull, rig.mem, rig.shared, nullptr);
+    JobTape tape = rig.tape(job);
+    TraversalSim sim(rig.bvh, rig.config, job, tape, 0, 0, 0x100000000ull,
+                     rig.mem, rig.shared, nullptr);
     Cycle now = 0;
     while (!sim.done())
         now = sim.stepStack(sim.stepFetch(now));

@@ -1,17 +1,15 @@
 /**
- * @file
- * Tests for the traversal tape: encoding round-trips, the
- * record-then-replay counter-identity guarantee (the tentpole property:
- * a tape recorded under any stack configuration drives a timing run
- * whose SimResult is byte-identical to full execution under every other
- * configuration), the sweep-level tape modes, and on-disk persistence.
+ * Tests for the traversal tape: encoding round-trips, the functional
+ * pass that writes tapes, sweep-level tape sharing (grids identical
+ * across thread counts and tape sources), and on-disk persistence.
+ * Byte identity of every variant's tape and results is pinned by
+ * test_variant_pins.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <random>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -172,97 +170,39 @@ TEST(TraversalTape, LaneActionRoundTrip)
     EXPECT_TRUE(cursor.atEnd());
 }
 
-TEST(TraversalTape, RecordThenReplayIsCounterIdentical)
+TEST(TraversalTape, PassCountsAndFingerprintsItsTape)
 {
     auto w = tinyWorkload(SceneId::REF);
-
-    TraversalTape tape;
-    SimOptions record;
-    record.record_tape = &tape;
-    GpuConfig record_config = makeGpuConfig(StackConfig::baseline(8));
-    SimResult recorded = runWorkload(*w, record_config, record);
+    resetTraversalTapeStats();
+    TraversalTape tape = buildWorkloadTape(*w, TraversalVariant{});
+    TraversalTapeStats stats = traversalTapeStats();
+    EXPECT_EQ(stats.jobs_recorded, w->render.jobs.size());
+    EXPECT_EQ(stats.bytes, tape.totalBytes());
 
     EXPECT_EQ(tape.jobs.size(), w->render.jobs.size());
     EXPECT_EQ(tape.fingerprint,
               workloadFingerprint(w->render.jobs, w->bvh));
     EXPECT_GT(tape.totalBytes(), 0u);
+    for (const JobTape &job : tape.jobs)
+        EXPECT_EQ(job.mismatches, 0u);
 
-    // The recording run itself must not perturb the timing result.
-    EXPECT_EQ(resultJson(recorded),
-              resultJson(runWorkload(*w, record_config)));
-
-    // A tape recorded under RB_8 replays counter-identically under
-    // every other stack configuration.
-    const StackConfig configs[] = {
-        StackConfig::baseline(8),  StackConfig::baseline(2),
-        StackConfig::withSh(8, 8), StackConfig::sms(),
-        StackConfig::rbFull(),
-    };
-    for (const StackConfig &stack : configs) {
-        GpuConfig config = makeGpuConfig(stack);
-        SimOptions replay;
-        replay.replay_tape = &tape;
-        SimResult executed = runWorkload(*w, config);
-        SimResult replayed = runWorkload(*w, config, replay);
-        EXPECT_EQ(resultJson(executed), resultJson(replayed))
-            << "replay diverged under " << stack.name();
-    }
+    // A caller-supplied tape and one simulateJobs builds itself drive
+    // identical timing runs.
+    GpuConfig config = makeGpuConfig(StackConfig::sms());
+    SimOptions options;
+    options.tape = &tape;
+    EXPECT_EQ(resultJson(runWorkload(*w, config, options)),
+              resultJson(runWorkload(*w, config)));
 }
 
-TEST(TraversalTape, ReplayMatchesExecutionAcrossRandomConfigs)
-{
-    // Property: for randomized (scene, recording config, replay config,
-    // L1 size) combinations, execution-driven and tape-replayed timing
-    // runs produce byte-identical SimResults.
-    std::mt19937 rng(20250806);
-    const SceneId scenes[] = {SceneId::REF, SceneId::WKND};
-    const uint32_t rbs[] = {2, 4, 8};
-    const uint32_t shs[] = {0, 4, 8};
-
-    auto random_config = [&]() {
-        uint32_t rb = rbs[rng() % 3];
-        uint32_t sh = shs[rng() % 3];
-        if (sh == 0)
-            return rng() % 4 == 0 ? StackConfig::rbFull()
-                                  : StackConfig::baseline(rb);
-        bool sk = rng() % 2 == 0;
-        bool ra = rng() % 2 == 0;
-        return StackConfig::withSh(rb, sh, sk, ra);
-    };
-
-    for (SceneId id : scenes) {
-        auto w = tinyWorkload(id);
-
-        TraversalTape tape;
-        SimOptions record;
-        record.record_tape = &tape;
-        runWorkload(*w, makeGpuConfig(random_config()), record);
-
-        for (int trial = 0; trial < 4; ++trial) {
-            StackConfig stack = random_config();
-            uint64_t l1 = rng() % 2 == 0 ? 0 : 16 * 1024;
-            GpuConfig config = makeGpuConfig(stack, l1);
-            SimOptions replay;
-            replay.replay_tape = &tape;
-            SimResult executed = runWorkload(*w, config);
-            SimResult replayed = runWorkload(*w, config, replay);
-            EXPECT_EQ(resultJson(executed), resultJson(replayed))
-                << sceneName(id) << " trial " << trial << " under "
-                << stack.name();
-        }
-    }
-}
-
-TEST(TraversalTape, SweepGridsIdenticalAcrossModesAndThreads)
+TEST(TraversalTape, SweepGridsIdenticalAcrossThreadsAndTapeSources)
 {
     std::vector<std::shared_ptr<Workload>> workloads = {
         tinyWorkload(SceneId::REF), tinyWorkload(SceneId::WKND)};
     std::vector<StackConfig> configs = {
         StackConfig::baseline(8), StackConfig::withSh(8, 8),
         StackConfig::sms()};
-
-    auto grid_json = [&](const char *mode, unsigned threads) {
-        ScopedEnv env("SMS_TRAVERSAL_TAPE", mode);
+    auto grid_json = [&](unsigned threads) {
         benchutil::SweepResult sweep =
             benchutil::runSweep(workloads, configs, {}, threads);
         std::string all;
@@ -272,28 +212,39 @@ TEST(TraversalTape, SweepGridsIdenticalAcrossModesAndThreads)
         return all;
     };
 
-    resetTraversalTapeStats();
-    std::string off = grid_json("off", 1);
-    EXPECT_EQ(traversalTapeStats().jobs_recorded, 0u);
+    // Reference: every cell on its own, each building its own tape.
+    std::string cells;
+    for (const auto &w : workloads)
+        for (const StackConfig &stack : configs)
+            cells += resultJson(runWorkload(*w, makeGpuConfig(stack))) +
+                     "\n";
 
-    std::string mem1 = grid_json("mem", 1);
+    // One build per scene, shared by its three cells.
+    resetTraversalTapeStats();
+    std::string one = grid_json(1);
     TraversalTapeStats stats = traversalTapeStats();
-    EXPECT_GT(stats.jobs_recorded, 0u);
-    EXPECT_GT(stats.jobs_replayed, 0u);
-    EXPECT_GT(stats.bytes, 0u);
+    EXPECT_EQ(stats.jobs_recorded, workloads[0]->render.jobs.size() +
+                                       workloads[1]->render.jobs.size());
+    EXPECT_EQ(stats.jobs_replayed, 3 * stats.jobs_recorded);
     EXPECT_EQ(stats.failures, 0u);
 
-    std::string mem3 = grid_json("mem", 3);
+    EXPECT_EQ(one, cells);
+    EXPECT_EQ(grid_json(3), cells);
 
-    EXPECT_EQ(off, mem1);
-    EXPECT_EQ(off, mem3);
+    // Tapes from disk replay to the same grid.
+    TempCacheDir dir;
+    ScopedEnv cache_env("SMS_WORKLOAD_CACHE", dir.path().c_str());
+    EXPECT_EQ(grid_json(3), cells); // builds and stores
+    resetTraversalTapeStats();
+    EXPECT_EQ(grid_json(3), cells); // loads
+    EXPECT_EQ(traversalTapeStats().disk_loads, 2u);
+    EXPECT_EQ(traversalTapeStats().jobs_recorded, 0u);
 }
 
 TEST(TraversalTape, DiskTapePersistsAndReplaysAcrossRuns)
 {
     TempCacheDir dir;
     ScopedEnv cache_env("SMS_WORKLOAD_CACHE", dir.path().c_str());
-    ScopedEnv tape_env("SMS_TRAVERSAL_TAPE", "disk");
 
     std::vector<std::shared_ptr<Workload>> workloads = {
         tinyWorkload(SceneId::REF)};
@@ -329,11 +280,10 @@ TEST(TraversalTape, DiskTapePersistsAndReplaysAcrossRuns)
                   resultJson(warm.results[0][c]));
 }
 
-TEST(TraversalTape, CorruptDiskTapeIsReRecordedNotTrusted)
+TEST(TraversalTape, CorruptDiskTapeIsRebuiltNotTrusted)
 {
     TempCacheDir dir;
     ScopedEnv cache_env("SMS_WORKLOAD_CACHE", dir.path().c_str());
-    ScopedEnv tape_env("SMS_TRAVERSAL_TAPE", "disk");
 
     std::vector<std::shared_ptr<Workload>> workloads = {
         tinyWorkload(SceneId::REF)};
@@ -363,7 +313,7 @@ TEST(TraversalTape, CorruptDiskTapeIsReRecordedNotTrusted)
         benchutil::runSweep(workloads, configs, {}, 1);
     TraversalTapeStats stats = traversalTapeStats();
     EXPECT_EQ(stats.failures, 1u);
-    EXPECT_GT(stats.jobs_recorded, 0u); // re-recorded from scratch
+    EXPECT_GT(stats.jobs_recorded, 0u); // rebuilt from scratch
     EXPECT_EQ(stats.disk_stores, 1u);   // tape rewritten
 
     for (size_t c2 = 0; c2 < configs.size(); ++c2)
@@ -377,16 +327,14 @@ TEST(TraversalTape, CorruptDiskTapeIsReRecordedNotTrusted)
     EXPECT_EQ(traversalTapeStats().failures, 0u);
 }
 
-TEST(TraversalTape, DiskSweepRecordsAndReplaysSideBySide)
+TEST(TraversalTape, DiskSweepBuildsAndReplaysSideBySide)
 {
     // One scene's tape loads from disk, the other's is corrupt and
-    // re-recorded, so the loaded scene's replay cells run while the
-    // other scene's lead records — at 4 threads, on different workers.
-    // The re-recorded scene is SHIP, whose record outlasts REF's
-    // replays: a replay cell that did not wait for its lead would read
-    // a half-written tape and fail.
+    // rebuilt, so the loaded scene's cells run while the other scene's
+    // build task does — at 4 threads, on different workers. The rebuilt
+    // scene is SHIP, whose build outlasts REF's cells: a cell that did
+    // not wait for its build would read a half-written tape and fail.
     TempCacheDir dir;
-    ScopedEnv cache_env("SMS_WORKLOAD_CACHE", dir.path().c_str());
     std::vector<std::shared_ptr<Workload>> workloads = {
         tinyWorkload(SceneId::REF), tinyWorkload(SceneId::SHIP)};
     std::vector<StackConfig> configs = {
@@ -400,13 +348,10 @@ TEST(TraversalTape, DiskSweepRecordsAndReplaysSideBySide)
                 all += resultJson(r) + "\n";
         return all;
     };
-    std::string off;
-    {
-        ScopedEnv tape_env("SMS_TRAVERSAL_TAPE", "off");
-        off = grid_json(benchutil::runSweep(workloads, configs, {}, 1));
-    }
+    std::string mem =
+        grid_json(benchutil::runSweep(workloads, configs, {}, 1));
 
-    ScopedEnv tape_env("SMS_TRAVERSAL_TAPE", "disk");
+    ScopedEnv cache_env("SMS_WORKLOAD_CACHE", dir.path().c_str());
     benchutil::runSweep(workloads, configs, {}, 1); // writes both tapes
     const Workload &corrupt = *workloads[1];
     std::string corrupt_path = traversalTapePath(
@@ -430,7 +375,7 @@ TEST(TraversalTape, DiskSweepRecordsAndReplaysSideBySide)
         benchutil::SweepResult sweep =
             benchutil::runSweep(workloads, configs, {}, threads);
         TraversalTapeStats stats = traversalTapeStats();
-        EXPECT_EQ(grid_json(sweep), off) << threads << " threads";
+        EXPECT_EQ(grid_json(sweep), mem) << threads << " threads";
         EXPECT_EQ(stats.disk_loads, 1u) << threads << " threads";
         EXPECT_EQ(stats.failures, 1u) << threads << " threads";
         EXPECT_EQ(stats.disk_stores, 1u) << threads << " threads";
@@ -447,10 +392,7 @@ TEST(TraversalTape, MismatchedTapeFailsFingerprintCheck)
     auto ref = tinyWorkload(SceneId::REF);
     auto wknd = tinyWorkload(SceneId::WKND);
 
-    TraversalTape tape;
-    SimOptions record;
-    record.record_tape = &tape;
-    runWorkload(*ref, makeGpuConfig(StackConfig::baseline(8)), record);
+    TraversalTape tape = buildWorkloadTape(*ref, TraversalVariant{});
     ASSERT_TRUE(saveTraversalTape(dir.path(), *ref, tape));
 
     // A tape saved for REF must not validate against WKND even if the

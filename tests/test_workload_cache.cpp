@@ -217,10 +217,7 @@ TEST(WorkloadCache, ConcurrentWritersNeverCorruptOrLeakTemps)
 
     auto workload = prepareWorkload(SceneId::REF, ScaleProfile::Tiny);
     ASSERT_NE(workload, nullptr);
-    TraversalTape tape;
-    SimOptions record;
-    record.record_tape = &tape;
-    runWorkload(*workload, makeGpuConfig(StackConfig::sms()), record);
+    TraversalTape tape = buildWorkloadTape(*workload, TraversalVariant{});
 
     RenderParams params = RenderParams::forScene(SceneId::REF);
     constexpr int kWriters = 4;

@@ -41,7 +41,7 @@
  * record's: the run fails when new < R * old. Wall-clock throughput is
  * machine-dependent, so R should be lenient enough to absorb runner
  * speed variance — the floor exists to catch structural regressions
- * (the tape replay path silently re-recording, a hot-loop rewrite
+ * (a warm run silently rebuilding its tapes, a hot-loop rewrite
  * losing its batching), not few-percent noise.
  *
  * --check-accounting additionally gates each cell's cycle_accounting
