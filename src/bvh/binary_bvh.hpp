@@ -55,7 +55,11 @@ struct BinaryNode
 class BinaryBvh
 {
   public:
-    /** Build over all primitives of @p scene. */
+    /**
+     * Build over all primitives of @p scene. The largest scenes build
+     * their top subtrees concurrently (up to defaultThreadCount()
+     * threads); the output does not depend on the thread count.
+     */
     static BinaryBvh build(const Scene &scene,
                            const BvhBuildParams &params = {});
 
@@ -71,7 +75,6 @@ class BinaryBvh
     double sahCost(const BvhBuildParams &params = {}) const;
 
   private:
-    friend class BinaryBuilder;
     std::vector<BinaryNode> nodes_;
     std::vector<uint32_t> prim_indices_;
 };

@@ -63,13 +63,12 @@ WideBvh::collapse(const BinaryBvh &binary, uint32_t binary_index)
     // Gather up to kWideBvhWidth children by repeatedly expanding the
     // internal candidate with the largest surface area — the standard
     // greedy collapse used by wide-BVH builders.
-    std::vector<uint32_t> members{bnode.left, bnode.right};
-    for (;;) {
-        if (members.size() >= static_cast<size_t>(wide_width_))
-            break;
+    std::array<uint32_t, kWideBvhWidth> members{bnode.left, bnode.right};
+    uint8_t count = 2;
+    while (count < wide_width_) {
         int grow = -1;
         float best_area = -1.0f;
-        for (size_t i = 0; i < members.size(); ++i) {
+        for (uint8_t i = 0; i < count; ++i) {
             const BinaryNode &m = bnodes[members[i]];
             if (m.isLeaf())
                 continue;
@@ -83,7 +82,7 @@ WideBvh::collapse(const BinaryBvh &binary, uint32_t binary_index)
             break; // all members are leaves
         uint32_t victim = members[static_cast<size_t>(grow)];
         members[static_cast<size_t>(grow)] = bnodes[victim].left;
-        members.push_back(bnodes[victim].right);
+        members[count++] = bnodes[victim].right;
     }
 
     uint32_t node_index = static_cast<uint32_t>(nodes_.size());
@@ -92,7 +91,6 @@ WideBvh::collapse(const BinaryBvh &binary, uint32_t binary_index)
     // the nodes_ vector may reallocate; index via nodes_[node_index].
     std::array<ChildRef, kWideBvhWidth> refs;
     std::array<Aabb, kWideBvhWidth> bounds;
-    uint8_t count = static_cast<uint8_t>(members.size());
     for (uint8_t i = 0; i < count; ++i) {
         bounds[i] = bnodes[members[i]].bounds;
         refs[i] = collapse(binary, members[i]);

@@ -62,6 +62,11 @@ resultSchemaHash()
     return fnv1a(words, sizeof words);
 }
 
+/** Bytes of one serialized CycleAccount. */
+constexpr size_t kCycleAccountBytes = (kCycleLeafCount + 2) * 8;
+/** Bytes of one serialized DepthTraceRecord. */
+constexpr size_t kDepthTraceBytes = 4 * 4;
+
 void
 writeCycleAccount(CacheWriter &w, const CycleAccount &a)
 {
@@ -238,14 +243,14 @@ readSimResult(CacheReader &r, SimResult &res)
     res.offchip_accesses = r.u64();
 
     readCycleAccount(r, res.accounting);
-    uint64_t sm_count = r.u64();
+    uint64_t sm_count = r.count(kCycleAccountBytes);
     if (!r.ok() || sm_count > 4096)
         return false;
     res.sm_accounting.resize(sm_count);
     for (CycleAccount &a : res.sm_accounting)
         readCycleAccount(r, a);
 
-    uint64_t buckets = r.u64();
+    uint64_t buckets = r.count(8);
     if (!r.ok() || buckets < 1 || buckets > (1u << 20))
         return false;
     std::vector<uint64_t> counts(buckets);
@@ -255,8 +260,8 @@ readSimResult(CacheReader &r, SimResult &res)
         return false;
     res.depth_hist = Histogram::fromBuckets(counts, buckets);
 
-    uint64_t traces = r.u64();
-    if (!r.ok() || traces > (1ull << 32))
+    uint64_t traces = r.count(kDepthTraceBytes);
+    if (!r.ok())
         return false;
     res.depth_trace.resize(traces);
     for (DepthTraceRecord &t : res.depth_trace) {
@@ -397,11 +402,9 @@ loadCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
         return false;
     };
 
-    std::string body;
-    if (!openCacheEnvelope(kMagic, data, body))
+    CacheReader r(kMagic, data);
+    if (!r.ok())
         return invalid("bad magic or checksum");
-
-    CacheReader r(body);
     if (r.u32() != kResultCacheVersion)
         return invalid("version mismatch");
     if (r.u64() != resultSchemaHash())
@@ -418,7 +421,7 @@ loadCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
     SimResult loaded;
     if (!readSimResult(r, loaded))
         return invalid("corrupt result section");
-    if (!r.ok() || r.offset() != body.size())
+    if (!r.atEnd())
         return invalid("trailing bytes");
 
     result = std::move(loaded);
@@ -438,7 +441,12 @@ storeCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
              dir.c_str());
         return false;
     }
-    CacheWriter w;
+    // The header and fixed-size counters take under 2 KiB; the rest
+    // grows with the result.
+    CacheWriter w(kMagic,
+                  2048 + result.sm_accounting.size() * kCycleAccountBytes +
+                      result.depth_hist.bucketCount() * 8 +
+                      result.depth_trace.size() * kDepthTraceBytes);
     w.u32(kResultCacheVersion);
     w.u64(resultSchemaHash());
     w.u8(static_cast<uint8_t>(id));
@@ -448,7 +456,7 @@ storeCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
     w.f64(sim_wall_seconds);
     writeSimResult(w, result);
 
-    std::string data = sealCacheEnvelope(kMagic, w.buffer());
+    std::string data = std::move(w).seal();
     std::string path =
         resultCachePath(dir, id, profile, fingerprint, digest);
     if (!writeFileAtomic(path, data)) {

@@ -25,28 +25,17 @@ fnv1a(const void *data, size_t n, uint64_t h)
     return h;
 }
 
-std::string
-sealCacheEnvelope(const char magic[8], const std::string &body)
+CacheReader::CacheReader(const char magic[8], const std::string &file)
 {
-    std::string data(magic, 8);
-    data += body;
-    uint64_t sum = fnv1a(data.data(), data.size());
-    data.append(reinterpret_cast<const char *>(&sum), 8);
-    return data;
-}
-
-bool
-openCacheEnvelope(const char magic[8], const std::string &data,
-                  std::string &body)
-{
-    if (data.size() < 16 || std::memcmp(data.data(), magic, 8) != 0)
-        return false;
+    if (file.size() < 16 || std::memcmp(file.data(), magic, 8) != 0)
+        return;
     uint64_t stored_sum;
-    std::memcpy(&stored_sum, data.data() + data.size() - 8, 8);
-    if (fnv1a(data.data(), data.size() - 8) != stored_sum)
-        return false;
-    body = data.substr(8, data.size() - 16);
-    return true;
+    std::memcpy(&stored_sum, file.data() + file.size() - 8, 8);
+    if (fnv1a(file.data(), file.size() - 8) != stored_sum)
+        return;
+    data_ = file.data() + 8;
+    size_ = file.size() - 16;
+    ok_ = true;
 }
 
 bool

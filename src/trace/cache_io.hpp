@@ -6,9 +6,15 @@
  * SMSTAPE1 traversal tapes, SMSRSLT1 result-cache entries).
  *
  * All formats follow the same envelope: an 8-byte ASCII magic, a body
- * of fixed-width little-endian fields appended by Writer, and a
+ * of fixed-width little-endian fields appended by CacheWriter, and a
  * trailing FNV-1a checksum of everything before it. Floats serialize as
  * IEEE-754 bit patterns, so reloads are bit-exact.
+ *
+ * The envelope is built and checked in place. A CacheWriter starts its
+ * buffer with the magic and reserves room for the body; seal() appends
+ * the checksum and hands the buffer over as the file. A CacheReader
+ * checks the magic and the checksum of the file it was given and then
+ * reads the body between them, without copying it out.
  *
  * Files are written via writeFileAtomic(): the payload lands in a
  * uniquely named temporary file in the target directory and is
@@ -26,6 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/geometry/vec3.hpp"
@@ -37,10 +44,27 @@ namespace sms {
 uint64_t fnv1a(const void *data, size_t n,
                uint64_t h = 0xcbf29ce484222325ull);
 
-/** Append-only little-endian serializer. */
+/**
+ * Append-only little-endian serializer. Built with a magic it writes a
+ * cache envelope; built without one it only collects bytes (the cache
+ * key digests hash its buffer()).
+ */
 class CacheWriter
 {
   public:
+    CacheWriter() = default;
+
+    /**
+     * Start an envelope with @p magic and reserve room for a body of
+     * @p body_bytes, so a body of that size is written without growing
+     * the buffer.
+     */
+    CacheWriter(const char magic[8], size_t body_bytes)
+    {
+        out_.reserve(8 + body_bytes + 8);
+        out_.append(magic, 8);
+    }
+
     void
     u8(uint8_t v)
     {
@@ -99,11 +123,30 @@ class CacheWriter
     void
     str(const std::string &s)
     {
-        u64(s.size());
-        out_.append(s);
+        bytes(s.data(), s.size());
+    }
+
+    /** Length-prefixed raw bytes; the same wire format as str(). */
+    void
+    bytes(const void *p, size_t n)
+    {
+        u64(n);
+        raw(p, n);
     }
 
     const std::string &buffer() const { return out_; }
+
+    /**
+     * Finish the envelope: append the FNV-1a checksum of everything
+     * written so far and move the buffer out as the file's bytes.
+     */
+    std::string
+    seal() &&
+    {
+        uint64_t sum = fnv1a(out_.data(), out_.size());
+        raw(&sum, sizeof sum);
+        return std::move(out_);
+    }
 
   private:
     void
@@ -115,14 +158,26 @@ class CacheWriter
     std::string out_;
 };
 
-/** Bounds-checked reader; any overrun flags failure and returns zeros. */
+/**
+ * Bounds-checked reader of one cache envelope's body; any overrun flags
+ * failure and returns zeros.
+ */
 class CacheReader
 {
   public:
-    explicit CacheReader(const std::string &data) : data_(data) {}
+    /**
+     * Open the envelope in @p file in place. The reader is ok() only
+     * when @p file starts with @p magic and ends with the FNV-1a
+     * checksum of everything before it; it then reads the body between
+     * the two. @p file must outlive the reader.
+     */
+    CacheReader(const char magic[8], const std::string &file);
+    CacheReader(const char magic[8], std::string &&file) = delete;
 
     bool ok() const { return ok_; }
-    size_t offset() const { return off_; }
+
+    /** True when nothing overran and the whole body was read. */
+    bool atEnd() const { return ok_ && off_ == size_; }
 
     uint8_t
     u8()
@@ -195,46 +250,62 @@ class CacheReader
     std::string
     str()
     {
-        uint64_t n = u64();
-        if (!ok_ || n > data_.size() - off_) {
+        uint64_t n = 0;
+        const char *p = bytes(n);
+        return p ? std::string(p, n) : std::string();
+    }
+
+    /**
+     * Length-prefixed bytes written by CacheWriter::bytes(): their
+     * length goes to @p n and the result points into the file.
+     * nullptr when they overrun the body.
+     */
+    const char *
+    bytes(uint64_t &n)
+    {
+        n = u64();
+        if (!ok_ || n > size_ - off_) {
             ok_ = false;
-            return {};
+            n = 0;
+            return nullptr;
         }
-        std::string s = data_.substr(off_, n);
+        const char *p = data_ + off_;
         off_ += n;
-        return s;
+        return p;
+    }
+
+    /**
+     * An element count, checked against the body: it fails (and yields
+     * 0) when that many records of at least @p min_record_bytes each
+     * cannot fit in the bytes left. A hostile count then cannot make
+     * the caller reserve more than the file could hold.
+     */
+    uint64_t
+    count(size_t min_record_bytes)
+    {
+        uint64_t n = u64();
+        if (ok_ && n > (size_ - off_) / min_record_bytes)
+            ok_ = false;
+        return ok_ ? n : 0;
     }
 
   private:
     void
     raw(void *p, size_t n)
     {
-        if (!ok_ || n > data_.size() - off_) {
+        if (!ok_ || n > size_ - off_) {
             ok_ = false;
             return;
         }
-        std::memcpy(p, data_.data() + off_, n);
+        std::memcpy(p, data_ + off_, n);
         off_ += n;
     }
 
-    const std::string &data_;
+    const char *data_ = nullptr; ///< first body byte
+    size_t size_ = 0;            ///< body bytes
     size_t off_ = 0;
-    bool ok_ = true;
+    bool ok_ = false;
 };
-
-/**
- * Wrap a serialized body in the standard cache envelope:
- * @p magic (8 bytes) + body + FNV-1a checksum of everything before it.
- */
-std::string sealCacheEnvelope(const char magic[8],
-                              const std::string &body);
-
-/**
- * Validate the envelope of @p data against @p magic and the trailing
- * checksum; on success @p body receives the payload between them.
- */
-bool openCacheEnvelope(const char magic[8], const std::string &data,
-                       std::string &body);
 
 /**
  * Write @p data to @p path through a uniquely named temp file in the

@@ -71,6 +71,9 @@ buildSchemaHash()
     return fnv1a(words, sizeof words);
 }
 
+/** Bytes writeParams() writes. */
+constexpr size_t kParamsBytes = 4 * 4 + 1 + 8;
+
 void
 writeParams(CacheWriter &w, const RenderParams &p)
 {
@@ -98,6 +101,9 @@ readAndCheckParams(CacheReader &r, const RenderParams &expect)
            p.shadow_rays == expect.shadow_rays && p.seed == expect.seed;
 }
 
+/** Bytes writeRay() writes. */
+constexpr size_t kRayBytes = 3 * 12 + 2 * 4;
+
 void
 writeRay(CacheWriter &w, const Ray &ray)
 {
@@ -120,6 +126,16 @@ readRay(CacheReader &r)
     ray.tMin = r.f32();
     ray.tMax = r.f32();
     return ray;
+}
+
+/** Bytes writeScene() writes for @p scene. */
+size_t
+sceneBytes(const Scene &scene)
+{
+    return 8 + scene.name.size() + 3 * 12 + 4 + 2 * 12 + 8 +
+           scene.materials().size() * (2 * 12 + 4) + 8 +
+           size_t{scene.triangleCount()} * (3 * 12 + 2) + 8 +
+           size_t{scene.sphereCount()} * (12 + 4 + 2);
 }
 
 void
@@ -201,6 +217,17 @@ readScene(CacheReader &r, Scene &scene)
     return r.ok();
 }
 
+/** Bytes of one node: six child boxes and references, the count. */
+constexpr size_t kNodeRecordBytes = kWideBvhWidth * (2 * 12 + 4) + 1;
+
+/** Bytes writeBvh() writes for @p bvh. */
+size_t
+bvhBytes(const WideBvh &bvh)
+{
+    return 4 + 8 + bvh.nodes().size() * kNodeRecordBytes + 8 +
+           bvh.primIndices().size() * 4;
+}
+
 void
 writeBvh(CacheWriter &w, const WideBvh &bvh)
 {
@@ -223,7 +250,7 @@ bool
 readBvh(CacheReader &r, WideBvh &bvh)
 {
     ChildRef root = ChildRef::fromBits(r.u32());
-    uint64_t node_count = r.u64();
+    uint64_t node_count = r.count(kNodeRecordBytes);
     if (!r.ok())
         return false;
     std::vector<WideNode> nodes;
@@ -238,7 +265,7 @@ readBvh(CacheReader &r, WideBvh &bvh)
         node.child_count = r.u8();
         nodes.push_back(node);
     }
-    uint64_t index_count = r.u64();
+    uint64_t index_count = r.count(4);
     if (!r.ok())
         return false;
     std::vector<uint32_t> indices;
@@ -250,6 +277,22 @@ readBvh(CacheReader &r, WideBvh &bvh)
     bvh = WideBvh::fromParts(kWideBvhWidth, std::move(nodes),
                              std::move(indices), root);
     return true;
+}
+
+/** Bytes of a job with no active lane: its header, one flag per lane. */
+constexpr size_t kJobHeaderBytes = 4 * 4 + 1 + kWarpSize;
+/** Bytes an active lane adds: its ray and oracle hit. */
+constexpr size_t kActiveLaneBytes = kRayBytes + 4 + 4 + 1;
+
+/** Bytes writeJobs() writes for @p jobs. */
+size_t
+jobsBytes(const WarpJobList &jobs)
+{
+    size_t bytes = 8 + jobs.size() * kJobHeaderBytes;
+    for (const WarpJob &job : jobs)
+        for (uint32_t i = 0; i < kWarpSize; ++i)
+            bytes += job.active[i] ? kActiveLaneBytes : 0;
+    return bytes;
 }
 
 void
@@ -277,7 +320,7 @@ writeJobs(CacheWriter &w, const WarpJobList &jobs)
 bool
 readJobs(CacheReader &r, WarpJobList &jobs)
 {
-    uint64_t count = r.u64();
+    uint64_t count = r.count(kJobHeaderBytes);
     if (!r.ok())
         return false;
     jobs.reserve(count);
@@ -300,6 +343,14 @@ readJobs(CacheReader &r, WarpJobList &jobs)
         jobs.push_back(std::move(job));
     }
     return r.ok();
+}
+
+/** Bytes writeRender() writes for @p render. */
+size_t
+renderBytes(const RenderOutput &render)
+{
+    return 4 + 4 + size_t{render.film.width()} * render.film.height() * 12 +
+           8 + jobsBytes(render.jobs);
 }
 
 void
@@ -401,11 +452,9 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
         return nullptr;
     };
 
-    std::string body;
-    if (!openCacheEnvelope(kMagic, data, body))
+    CacheReader r(kMagic, data);
+    if (!r.ok())
         return invalid("bad magic or checksum");
-
-    CacheReader r(body);
     if (r.u32() != kWorkloadSnapshotVersion)
         return invalid("version mismatch");
     if (r.u64() != buildSchemaHash())
@@ -425,7 +474,7 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
     std::unique_ptr<RenderOutput> render;
     if (!readRender(r, render))
         return invalid("corrupt render section");
-    if (r.offset() != body.size())
+    if (!r.atEnd())
         return invalid("trailing bytes");
 
     ++g_hits;
@@ -444,7 +493,10 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
              dir.c_str());
         return false;
     }
-    CacheWriter w;
+    CacheWriter w(kMagic, 4 + 8 + 1 + 1 + kParamsBytes +
+                              sceneBytes(workload.scene) +
+                              bvhBytes(workload.bvh) +
+                              renderBytes(workload.render));
     w.u32(kWorkloadSnapshotVersion);
     w.u64(buildSchemaHash());
     w.u8(static_cast<uint8_t>(workload.id));
@@ -454,7 +506,7 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
     writeBvh(w, workload.bvh);
     writeRender(w, workload.render);
 
-    std::string data = sealCacheEnvelope(kMagic, w.buffer());
+    std::string data = std::move(w).seal();
     std::string path = workloadSnapshotPath(dir, workload.id, profile,
                                             params);
     if (!writeFileAtomic(path, data)) {
@@ -545,11 +597,9 @@ loadTraversalTape(const std::string &dir, const Workload &workload,
         return false;
     };
 
-    std::string body;
-    if (!openCacheEnvelope(kTapeMagic, data, body))
+    CacheReader r(kTapeMagic, data);
+    if (!r.ok())
         return invalid("bad magic or checksum");
-
-    CacheReader r(body);
     if (r.u32() != kTraversalTapeVersion)
         return invalid("version mismatch");
     uint64_t fingerprint = r.u64();
@@ -570,10 +620,11 @@ loadTraversalTape(const std::string &dir, const Workload &workload,
         JobTape &job = tape.jobs[j];
         job.steps = r.u32();
         job.mismatches = r.u32();
-        std::string raw = r.str(); // bounds-checked via r.ok()
-        job.bytes.assign(raw.begin(), raw.end());
+        uint64_t n = 0;
+        const auto *bytes = reinterpret_cast<const uint8_t *>(r.bytes(n));
+        job.bytes.assign(bytes, bytes + n); // empty when r failed
     }
-    if (!r.ok() || r.offset() != body.size())
+    if (!r.atEnd())
         return invalid("trailing bytes");
 
     out = std::move(tape);
@@ -599,17 +650,20 @@ saveTraversalTape(const std::string &dir, const Workload &workload,
              dir.c_str());
         return false;
     }
-    CacheWriter w;
+    size_t body = 4 + 8 + 8;
+    for (const JobTape &job : tape.jobs)
+        body += 4 + 4 + 8 + job.bytes.size();
+    CacheWriter w(kTapeMagic, body);
     w.u32(kTraversalTapeVersion);
     w.u64(tape.fingerprint);
     w.u64(tape.jobs.size());
     for (const JobTape &job : tape.jobs) {
         w.u32(job.steps);
         w.u32(job.mismatches);
-        w.str(std::string(job.bytes.begin(), job.bytes.end()));
+        w.bytes(job.bytes.data(), job.bytes.size());
     }
 
-    std::string data = sealCacheEnvelope(kTapeMagic, w.buffer());
+    std::string data = std::move(w).seal();
     std::string path = traversalTapePath(dir, workload.id,
                                          workload.profile,
                                          workload.params, variant);

@@ -10,7 +10,9 @@
  * Exceptions thrown by @p fn on a worker thread are captured (first one
  * wins), remaining iterations are abandoned, and the exception is
  * rethrown on the calling thread after all workers joined — a worker
- * throw is a regular error, not std::terminate.
+ * throw is a regular error, not std::terminate. A worker thread that
+ * cannot be started ends the region the same way: the started workers
+ * stop and are joined, and the start failure is rethrown.
  */
 
 #ifndef SMS_UTIL_PARALLEL_HPP
@@ -143,30 +145,40 @@ parallelFor(size_t n, const std::function<void(size_t)> &fn,
     std::exception_ptr first_error;
     std::atomic<bool> error_claimed{false};
 
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&]() {
-            for (;;) {
-                if (failed.load(std::memory_order_relaxed))
+    auto work = [&]() {
+        for (;;) {
+            if (failed.load(std::memory_order_relaxed))
+                return;
+            size_t base = next.fetch_add(chunk);
+            if (base >= n)
+                return;
+            size_t end = base + chunk < n ? base + chunk : n;
+            for (size_t i = base; i < end; ++i) {
+                try {
+                    fn(i);
+                } catch (...) {
+                    // First thrower records; everyone drains out.
+                    if (!error_claimed.exchange(true))
+                        first_error = std::current_exception();
+                    failed.store(true, std::memory_order_relaxed);
                     return;
-                size_t base = next.fetch_add(chunk);
-                if (base >= n)
-                    return;
-                size_t end = base + chunk < n ? base + chunk : n;
-                for (size_t i = base; i < end; ++i) {
-                    try {
-                        fn(i);
-                    } catch (...) {
-                        // First thrower records; everyone drains out.
-                        if (!error_claimed.exchange(true))
-                            first_error = std::current_exception();
-                        failed.store(true, std::memory_order_relaxed);
-                        return;
-                    }
                 }
             }
-        });
+        }
+    };
+
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    try {
+        for (unsigned t = 0; t < threads; ++t)
+            workers.emplace_back(work);
+    } catch (...) {
+        // A thread that could not start: stop and join the ones that
+        // did, then report the failure to start.
+        failed.store(true, std::memory_order_relaxed);
+        for (std::thread &w : workers)
+            w.join();
+        throw;
     }
     for (std::thread &w : workers)
         w.join();
@@ -271,8 +283,22 @@ parallelForAfter(size_t n, const std::vector<size_t> &after,
     // The calling thread is one of the workers.
     std::vector<std::thread> workers;
     workers.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t)
-        workers.emplace_back(work);
+    try {
+        for (unsigned t = 1; t < threads; ++t)
+            workers.emplace_back(work);
+    } catch (...) {
+        // As in parallelFor: stop and join the started workers, then
+        // report the failure to start.
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!first_error)
+                first_error = std::current_exception();
+        }
+        changed.notify_all();
+        for (std::thread &w : workers)
+            w.join();
+        throw;
+    }
     work();
     for (std::thread &w : workers)
         w.join();

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include "src/stats/report.hpp"
 #include "src/trace/render.hpp"
 #include "src/sim/traversal_tape.hpp"
+#include "src/trace/cache_io.hpp"
 
 namespace sms {
 namespace {
@@ -276,6 +278,50 @@ TEST(ResultCache, TruncatedEntryIsRejected)
     struct stat st{};
     ASSERT_EQ(::stat(path.c_str(), &st), 0);
     ASSERT_EQ(::truncate(path.c_str(), st.st_size / 3), 0);
+
+    resetResultCacheStats();
+    SimResult cached;
+    double wall = 0.0;
+    EXPECT_FALSE(loadCachedResult(dir.path(), workload->id,
+                                  workload->profile, fingerprint, digest,
+                                  cached, wall));
+    EXPECT_EQ(resultCacheStats().failures, 1u);
+}
+
+TEST(ResultCache, OversizedTraceCountIsRejected)
+{
+    // A depth-trace count that claims more 16-byte records than the
+    // entry holds, under a valid checksum, must be a counted failure,
+    // never a resize to that many records.
+    TempCacheDir dir;
+    auto workload = prepareWorkload(SceneId::REF, ScaleProfile::Tiny);
+    GpuConfig config = makeGpuConfig(StackConfig::baseline(8));
+    SimResult fresh = runWorkload(*workload, config);
+    ASSERT_TRUE(fresh.depth_trace.empty());
+    uint64_t fingerprint =
+        workloadFingerprint(workload->render.jobs, workload->bvh);
+    uint64_t digest = gpuConfigDigest(config);
+    ASSERT_TRUE(storeCachedResult(dir.path(), workload->id,
+                                  workload->profile, fingerprint, digest,
+                                  fresh, 0.5));
+    std::string path = resultCachePath(dir.path(), workload->id,
+                                       workload->profile, fingerprint,
+                                       digest);
+    std::string file;
+    ASSERT_TRUE(readFile(path, file));
+
+    // The empty trace's count is followed by jobs, warps, rays and
+    // mismatches (20 bytes) and the checksum.
+    const size_t count_at = file.size() - 8 - 20 - 8;
+    uint64_t count;
+    std::memcpy(&count, &file[count_at], sizeof count);
+    ASSERT_EQ(count, 0u);
+    // 2^32 records, the most the reader used to accept: 64 GiB.
+    count = 1ull << 32;
+    std::memcpy(&file[count_at], &count, sizeof count);
+    uint64_t sum = fnv1a(file.data(), file.size() - 8);
+    std::memcpy(&file[file.size() - 8], &sum, sizeof sum);
+    ASSERT_TRUE(writeFileAtomic(path, file));
 
     resetResultCacheStats();
     SimResult cached;

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <dirent.h>
 #include <string>
 #include <sys/stat.h>
@@ -22,6 +23,7 @@
 #include "src/stats/report.hpp"
 #include "src/trace/render.hpp"
 #include "src/sim/traversal_tape.hpp"
+#include "src/trace/cache_io.hpp"
 #include "src/trace/workload_cache.hpp"
 
 namespace sms {
@@ -81,6 +83,27 @@ class TempCacheDir
 };
 
 int TempCacheDir::counter_ = 0;
+
+/** Little-endian bytes of @p v, as the cache writers store it. */
+template <typename T>
+std::string
+le(T v)
+{
+    return std::string(reinterpret_cast<const char *>(&v), sizeof v);
+}
+
+/**
+ * @p file with the u64 at @p offset set to @p value and the checksum
+ * recomputed: a file that passes the envelope check and lies inside.
+ */
+std::string
+resealed(std::string file, size_t offset, uint64_t value)
+{
+    std::memcpy(&file[offset], &value, sizeof value);
+    uint64_t sum = fnv1a(file.data(), file.size() - 8);
+    std::memcpy(&file[file.size() - 8], &sum, sizeof sum);
+    return file;
+}
 
 std::string
 simResultJson(const Workload &workload)
@@ -202,6 +225,73 @@ TEST(WorkloadCache, TruncatedSnapshotIsRejected)
     ASSERT_NE(rebuilt, nullptr);
     EXPECT_EQ(workloadCacheStats().failures, 1u);
     EXPECT_EQ(workloadCacheStats().hits, 0u);
+}
+
+TEST(WorkloadCache, OversizedCountsAreRejected)
+{
+    // A snapshot whose node, index or job count claims more records
+    // than the file holds, under a valid checksum, must be a counted
+    // failure and a rebuild, never a reservation of that many records.
+    TempCacheDir dir;
+    auto w = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny);
+    ASSERT_TRUE(saveWorkloadSnapshot(dir.path(), *w, w->profile, w->params));
+    std::string path =
+        workloadSnapshotPath(dir.path(), w->id, w->profile, w->params);
+    std::string pristine;
+    ASSERT_TRUE(readFile(path, pristine));
+
+    // Each count is found by the field next to it.
+    const WideBvh &bvh = w->bvh;
+    struct Count
+    {
+        const char *name;
+        std::string context; ///< the count and a neighbouring field
+        size_t at;           ///< the count's offset in context
+    };
+    const Count counts[] = {
+        {"nodes",
+         le(bvh.rootRef().bits()) + le<uint64_t>(bvh.nodes().size()), 4},
+        {"prim indices",
+         le<uint64_t>(bvh.primIndices().size()) + le(bvh.primIndices()[0]),
+         0},
+        {"jobs",
+         le<uint64_t>(w->render.rays) + le<uint64_t>(w->render.jobs.size()),
+         8},
+    };
+    for (const Count &count : counts) {
+        size_t at = pristine.find(count.context);
+        ASSERT_NE(at, std::string::npos) << count.name;
+        ASSERT_TRUE(writeFileAtomic(
+            path, resealed(pristine, at + count.at, 1ull << 40)));
+        resetWorkloadCacheStats();
+        EXPECT_EQ(loadWorkloadSnapshot(dir.path(), w->id, w->profile,
+                                       w->params),
+                  nullptr)
+            << count.name;
+        EXPECT_EQ(workloadCacheStats().failures, 1u) << count.name;
+    }
+}
+
+TEST(WorkloadCache, OversizedTapeChunkIsRejected)
+{
+    TempCacheDir dir;
+    auto w = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny);
+    ASSERT_TRUE(saveTraversalTape(
+        dir.path(), *w, buildWorkloadTape(*w, TraversalVariant{})));
+    std::string path =
+        traversalTapePath(dir.path(), w->id, w->profile, w->params);
+    std::string file;
+    ASSERT_TRUE(readFile(path, file));
+    // Magic, version, fingerprint, job count, then the first job's
+    // step and mismatch counts and its byte length.
+    const size_t first_length = 8 + 4 + 8 + 8 + 4 + 4;
+    ASSERT_TRUE(
+        writeFileAtomic(path, resealed(file, first_length, 1ull << 40)));
+
+    resetTraversalTapeStats();
+    TraversalTape tape;
+    EXPECT_FALSE(loadTraversalTape(dir.path(), *w, tape));
+    EXPECT_EQ(traversalTapeStats().failures, 1u);
 }
 
 TEST(WorkloadCache, ConcurrentWritersNeverCorruptOrLeakTemps)
