@@ -3,23 +3,19 @@
  * Architecture bake-off: competing traversal architectures on one grid.
  *
  * The paper's thesis is that the traversal *stack* is the off-chip
- * traffic problem worth hardware (shared-memory stacks, §VI). Two
- * classic alternatives dissolve the stack instead of caching it:
+ * traffic problem worth hardware (shared-memory stacks, §VI). The
+ * classic alternative dissolves the stack instead of caching it:
  * stackless traversal (parent links, zero stack state, redundant node
- * re-tests) and speculative ray-path prediction (a hash table mapping
- * similar rays to the leaf that resolved them, verified against the
- * full traversal). This harness runs, per scene:
+ * re-tests). This harness runs, per scene:
  *
  *   RB_8        short stack, spills off-chip   (the paper's baseline)
  *   SMS         shared-memory stack            (the paper's design)
  *   RB_8+sl     stackless, parent links        (no stack to cache)
- *   RB_8+pred   predicted, hash-table probes   (stack mostly idle)
  *
- * and reports per-class off-chip bytes (node / primitive / stack /
- * predictor) plus IPC, so the architectures' costs land in different
- * columns of the same budget: SMS removes the stack column, stackless
- * trades it for the node column, prediction trades it for a new
- * predictor column. See docs/ARCHITECTURES.md for the loop-by-loop
+ * and reports per-class off-chip bytes (node / primitive / stack) plus
+ * IPC, so the architectures' costs land in different columns of the
+ * same budget: SMS removes the stack column, stackless trades it for
+ * the node column. See docs/ARCHITECTURES.md for the loop-by-loop
  * comparison and EXPERIMENTS.md for a worked reading of this table.
  */
 
@@ -30,7 +26,6 @@
 #include "bench/bench_util.hpp"
 #include "src/bvh/stackless.hpp"
 #include "src/memory/request.hpp"
-#include "src/sim/ray_predictor.hpp"
 
 using namespace sms;
 using namespace sms::benchutil;
@@ -50,7 +45,7 @@ void
 runArchBakeoff(JsonReporter &reporter)
 {
     std::printf("=== Architecture bake-off: short stack vs SMS vs "
-                "stackless vs predicted ===\n\n");
+                "stackless ===\n\n");
     auto workloads = prepareAllScenes();
 
     // Column order matters: RB_8 first so every norm is against the
@@ -62,9 +57,6 @@ runArchBakeoff(JsonReporter &reporter)
     SweepColumn stackless{StackConfig::baseline(8)};
     stackless.arch = TraversalArchConfig::stackless();
     columns.push_back(stackless);
-    SweepColumn predicted{StackConfig::baseline(8)};
-    predicted.arch = TraversalArchConfig::predicted();
-    columns.push_back(predicted);
 
     SweepResult sweep = runSweep(workloads, columns);
 
@@ -75,8 +67,7 @@ runArchBakeoff(JsonReporter &reporter)
             std::printf("scene %s:\n", sceneName(workloads[s]->id));
             Table table;
             table.setHeader({"config", "node KiB", "prim KiB",
-                             "stack KiB", "pred KiB", "IPC",
-                             "norm IPC"});
+                             "stack KiB", "IPC", "norm IPC"});
             for (size_t c = 0; c < columns.size(); ++c) {
                 const SimResult &r = sweep.results[s][c];
                 table.addRow(
@@ -91,10 +82,6 @@ runArchBakeoff(JsonReporter &reporter)
                      Table::num(offchipBytes(r, TrafficClass::Stack) /
                                     1024.0,
                                 1),
-                     Table::num(
-                         offchipBytes(r, TrafficClass::Predictor) /
-                             1024.0,
-                         1),
                      Table::num(r.ipc(), 3),
                      Table::num(normIpc(sweep, s, c), 3)});
             }
@@ -127,9 +114,8 @@ runArchBakeoff(JsonReporter &reporter)
         }
         printPaperNote(
             "the paper's §VI keeps the stack and moves it on-chip; the "
-            "stackless column deletes the stack but pays node re-fetch, "
-            "the predictor column pays table probes — three different "
-            "columns of the same off-chip budget");
+            "stackless column deletes the stack but pays node re-fetch — "
+            "two different columns of the same off-chip budget");
     }
 
     reporter.addSweep(sweep);
@@ -150,23 +136,6 @@ BM_StacklessLinksBuild(benchmark::State &state)
         static_cast<int64_t>(workload->bvh.nodes().size()));
 }
 BENCHMARK(BM_StacklessLinksBuild);
-
-/** Microbenchmark: predictor schedule precompute over a workload. */
-void
-BM_PredictorScheduleBuild(benchmark::State &state)
-{
-    auto workload = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny);
-    TraversalArchConfig arch = TraversalArchConfig::predicted();
-    for (auto _ : state) {
-        PredictorSchedule schedule = buildPredictorSchedule(
-            workload->render.jobs, workload->bvh, arch);
-        benchmark::DoNotOptimize(schedule.jobs.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) *
-        static_cast<int64_t>(workload->render.jobs.size()));
-}
-BENCHMARK(BM_PredictorScheduleBuild);
 
 } // namespace
 

@@ -14,16 +14,22 @@
  * architecture's overhead — but needs zero per-lane stack state and
  * generates zero stack traffic by construction.
  *
- * Bit-identity with the stack traversal (DESIGN.md invariant 2) rests
- * on two properties of the slab test in Aabb::intersect():
+ * Agreement with the stack traversal (DESIGN.md invariant 2) rests on
+ * two properties of the slab test in Aabb::intersect():
  *  - a child's entry distance t0 = max(tMin, per-axis near planes) does
  *    not depend on ray.tMax, so re-testing after tMax tightened yields
  *    the same t0 and the same (t0, slot) visit order; and
- *  - a child culled by a tightened tMax has t0 > tMax, every primitive
- *    under it has t >= t0 > tMax, and the primitive test rejects
- *    t > tMax — so pruned subtrees could never have updated the hit,
- *    not even on exact t ties (those are accepted inclusively and the
- *    last accepted primitive wins, which pruning does not change).
+ *  - a child culled by a tightened tMax has t0 > tMax, and in exact
+ *    arithmetic every primitive under it has t >= t0 > tMax, which the
+ *    primitive test rejects.
+ *
+ * The second property does not hold in floats. A primitive on a leaf
+ * box's entry face can intersect an ulp below the box's rounded t0.
+ * The stack machine tests every sibling it pushed and accepts
+ * t == tMax (the last accepted primitive wins), so on such an exact-t
+ * tie it keeps a primitive this traversal culled on backtrack. That
+ * happens on a few SPNZA lanes (docs/ARCHITECTURES.md §2); elsewhere
+ * the hits, primitive id included, match.
  */
 
 #ifndef SMS_BVH_STACKLESS_HPP
@@ -90,8 +96,9 @@ SlotHits intersectNodeSlots(const WideNode &node, const Ray &ray);
 int nextStacklessSlot(const SlotHits &hits, int resume_slot);
 
 /**
- * Reference closest-hit traversal through parent links; bit-identical
- * to traverseClosest() including the winning primitive id.
+ * Reference closest-hit traversal through parent links; matches
+ * traverseClosest() including the winning primitive id, except on the
+ * exact-t ties described above.
  */
 HitRecord traverseClosestStackless(const Scene &scene, const WideBvh &bvh,
                                    const StacklessLinks &links,

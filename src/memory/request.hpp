@@ -47,11 +47,10 @@ enum class TrafficClass : uint8_t
     Node,      ///< BVH node fetch
     Primitive, ///< leaf primitive fetch
     Stack,     ///< traversal-stack spill/reload
-    Predictor, ///< ray-path predictor table probe/update
 };
 
 /** Number of TrafficClass values. */
-constexpr int kTrafficClassCount = 4;
+constexpr int kTrafficClassCount = 3;
 
 /** Aggregate counters for one level of the hierarchy. */
 struct LevelStats

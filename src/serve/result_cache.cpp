@@ -356,11 +356,6 @@ gpuConfigDigest(const GpuConfig &config)
               : 0);
     w.u8(static_cast<uint8_t>(config.ray_order.kind));
     w.u8(static_cast<uint8_t>(config.traversal_arch.kind));
-    if (config.traversal_arch.kind == TraversalArchKind::Predicted) {
-        w.u32(config.traversal_arch.predictor_entries_log2);
-        w.u32(config.traversal_arch.predictor_origin_bits);
-        w.u32(config.traversal_arch.predictor_dir_bits);
-    }
 
     return fnv1a(w.buffer().data(), w.buffer().size(),
                  resultSchemaHash());

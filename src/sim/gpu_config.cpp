@@ -17,8 +17,6 @@ TraversalArchConfig::name() const
         return "stack";
     case TraversalArchKind::Stackless:
         return "sl";
-    case TraversalArchKind::Predicted:
-        return "pred";
     }
     fatal("unknown traversal architecture %d", static_cast<int>(kind));
 }
@@ -40,11 +38,6 @@ TraversalVariant::digest() const
     mix(layout.isQuantized() ? layout.bits_per_plane : 0u);
     mix(static_cast<uint32_t>(order.kind));
     mix(static_cast<uint32_t>(arch.kind));
-    if (arch.kind == TraversalArchKind::Predicted) {
-        mix(arch.predictor_entries_log2);
-        mix(arch.predictor_origin_bits);
-        mix(arch.predictor_dir_bits);
-    }
     return h != 0 ? h : 1;
 }
 

@@ -52,29 +52,17 @@ enum class TraversalArchKind : uint8_t
      * re-testing child boxes to find the next unvisited subtree.
      */
     Stackless,
-    /**
-     * Stack-based traversal fronted by a direction/origin-quantized
-     * ray-hash table whose hits jump straight to a predicted leaf
-     * before normal traversal verifies or falls back.
-     */
-    Predicted,
 };
 
 /**
  * Traversal-architecture axis: which machine executes the traversal
  * loop. Like node layout and ray order this changes WHICH steps happen
- * (stackless revisits interior nodes; prediction front-loads a leaf
- * visit), so it participates in the variant digest.
+ * (stackless revisits interior nodes), so it participates in the
+ * variant digest.
  */
 struct TraversalArchConfig
 {
     TraversalArchKind kind = TraversalArchKind::Stack;
-    /** log2 of the predictor hash-table entry count (Predicted only). */
-    uint32_t predictor_entries_log2 = 12;
-    /** High mantissa bits per origin coordinate folded into the hash. */
-    uint32_t predictor_origin_bits = 6;
-    /** High mantissa bits per direction coordinate folded in. */
-    uint32_t predictor_dir_bits = 8;
 
     static TraversalArchConfig
     stack()
@@ -90,30 +78,16 @@ struct TraversalArchConfig
         return c;
     }
 
-    static TraversalArchConfig
-    predicted()
-    {
-        TraversalArchConfig c;
-        c.kind = TraversalArchKind::Predicted;
-        return c;
-    }
-
     /** True when the architecture differs from the paper's stack one. */
     bool active() const { return kind != TraversalArchKind::Stack; }
 
-    /** Short display name: "stack", "sl" or "pred". */
+    /** Short display name: "stack" or "sl". */
     const char *name() const;
 
     bool
     operator==(const TraversalArchConfig &o) const
     {
-        if (kind != o.kind)
-            return false;
-        if (kind != TraversalArchKind::Predicted)
-            return true;
-        return predictor_entries_log2 == o.predictor_entries_log2 &&
-               predictor_origin_bits == o.predictor_origin_bits &&
-               predictor_dir_bits == o.predictor_dir_bits;
+        return kind == o.kind;
     }
 
     bool operator!=(const TraversalArchConfig &o) const { return !(*this == o); }
@@ -123,8 +97,8 @@ struct TraversalArchConfig
  * The functional-traversal side of a configuration: node layout, ray
  * scheduling and traversal architecture. Unlike the stack/memory axes,
  * these change WHICH traversal steps happen (inflated boxes visit
- * supersets; reordering repacks the job stream; stackless/predicted
- * machines reshape the step stream), so traversal tapes and workload
+ * supersets; reordering repacks the job stream; the stackless machine
+ * reshapes the step stream), so traversal tapes and workload
  * fingerprints are keyed per variant via digest().
  */
 struct TraversalVariant
@@ -147,7 +121,7 @@ struct TraversalVariant
      */
     uint64_t digest() const;
 
-    /** Display tag: "" for default, else e.g. "q8", "sl", "q8+pred". */
+    /** Display tag: "" for default, else e.g. "q8", "sl", "q8+mort+sl". */
     std::string tag() const;
 };
 

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "src/bvh/stackless.hpp"
-#include "src/sim/ray_predictor.hpp"
 #include "src/sim/traversal_tape.hpp"
 #include "src/stats/metrics.hpp"
 #include "src/stats/timeline.hpp"
@@ -135,24 +134,15 @@ simulateJobs(const Scene &scene, const WideBvh &bvh,
                "traversal tape holds %zu jobs but the workload has %zu",
                tape->jobs.size(), jobs.size());
 
-    // Architecture support structures: both are cheap pure functions of
-    // (bvh) resp. (jobs, bvh, arch config), so the functional pass and
-    // every timing run rebuild identical copies instead of serializing
-    // them anywhere.
+    // Stackless parent links are a cheap pure function of the BVH, so
+    // the functional pass and every timing run rebuild identical copies
+    // instead of serializing them anywhere.
     StacklessLinks links;
-    PredictorSchedule predictor;
     if (config.traversal_arch.kind == TraversalArchKind::Stackless)
         links = StacklessLinks::build(bvh);
-    if (config.traversal_arch.kind == TraversalArchKind::Predicted)
-        predictor =
-            buildPredictorSchedule(jobs, bvh, config.traversal_arch);
     const StacklessLinks *links_p =
         config.traversal_arch.kind == TraversalArchKind::Stackless ? &links
                                                                    : nullptr;
-    const PredictorSchedule *predictor_p =
-        config.traversal_arch.kind == TraversalArchKind::Predicted
-            ? &predictor
-            : nullptr;
 
     MemorySystem mem(config.resolvedMemConfig(), config.num_sms);
     std::vector<SharedMemory> shared_mems(
@@ -329,7 +319,7 @@ simulateJobs(const Scene &scene, const WideBvh &bvh,
                 bvh, config, job, job_tape, sm_id, shared_base, local_base,
                 mem, shared_mems[sm_id],
                 traced ? fl.collector.get() : nullptr, &result.depth_hist,
-                links_p, predictor_p);
+                links_p);
         }
         events.emplace(cycle, seq++, idx);
     };

@@ -19,18 +19,14 @@ TraversalSim::TraversalSim(const WideBvh &bvh, const GpuConfig &config,
                            uint32_t sm, Addr shared_base, Addr local_base,
                            MemorySystem &mem, SharedMemory &shared_mem,
                            DepthObserver *observer, Histogram *depth_hist,
-                           const StacklessLinks *links,
-                           const PredictorSchedule *predictor)
-    : bvh_(bvh), links_(links), predictor_(predictor), config_(config),
+                           const StacklessLinks *links)
+    : bvh_(bvh), links_(links), config_(config),
       job_(job), sm_(sm), mem_(mem), shared_mem_(&shared_mem),
       stack_(config.stack, shared_base, local_base), cursor_(&tape)
 {
     SMS_ASSERT((links_ != nullptr) ==
                    (config.traversal_arch.kind == TraversalArchKind::Stackless),
                "stackless links must accompany exactly the stackless arch");
-    SMS_ASSERT((predictor_ != nullptr) ==
-                   (config.traversal_arch.kind == TraversalArchKind::Predicted),
-               "predictor schedule must accompany exactly the predicted arch");
     stack_.setDepthHistogram(depth_hist);
     seedJob(observer);
 }
@@ -55,23 +51,12 @@ TraversalSim::reinit(const WarpJob &job, const JobTape &tape, uint32_t sm,
     seedJob(observer);
 }
 
-const PredictorJobPlan *
-TraversalSim::predictorPlan() const
-{
-    if (!predictor_)
-        return nullptr;
-    SMS_ASSERT(job_.job_id < predictor_->jobs.size(),
-               "job %u missing from the predictor schedule", job_.job_id);
-    return &predictor_->jobs[job_.job_id];
-}
-
 void
 TraversalSim::seedJob(DepthObserver *observer)
 {
     stack_.setDepthObserver(observer);
     running_mask_ = 0;
     sl_revisit_ = 0;
-    const PredictorJobPlan *plan = predictorPlan();
     for (uint32_t i = 0; i < kWarpSize; ++i) {
         if (!job_.active[i] || bvh_.empty()) {
             // Masked-off lanes count as finished immediately; with
@@ -94,17 +79,6 @@ TraversalSim::seedJob(DepthObserver *observer)
         StackTxnList seed;
         stack_.push(i, bvh_.rootRef().stackValue(), seed);
         SMS_ASSERT(seed.empty(), "root push cannot spill");
-        // A predictor hit lands its leaf on top of the root, so the
-        // first iteration visits the predicted leaf; a correct
-        // prediction tightens tMax (or abandons an any-hit job) before
-        // normal traversal starts, a wrong one just falls through.
-        if (plan && ChildRef::fromBits(plan->predicted[i]).isLeaf()) {
-            stack_.push(i, ChildRef::fromBits(plan->predicted[i])
-                               .stackValue(),
-                        seed);
-            SMS_ASSERT(seed.empty(), "predicted-leaf push cannot spill");
-            ++counters_.instructions;
-        }
     }
     // Per-lane instruction charge for the shading work surrounding this
     // trace call (constant across stack configurations).
@@ -159,17 +133,10 @@ TraversalSim::stepFetch(Cycle now)
                        "window: %llu of %llu cycles",
                        static_cast<unsigned long long>(crit.total()),
                        static_cast<unsigned long long>(fetch_done - now));
-        if (predictor_ && counters_.steps == 1) {
-            // The whole first fetch window of a predicted job — root
-            // fetch plus the predictor-table probes the tape records
-            // with it — is the cost of consulting the predictor.
-            account_.add(CycleLeaf::StallArchPredictor, fetch_done - now);
-        } else {
-            account_.add(CycleLeaf::Issue, crit.port_wait + crit.hit_base);
-            account_.add(CycleLeaf::StallMemL1Miss, crit.l1_miss_extra);
-            account_.add(CycleLeaf::StallMemDramQueue, crit.dram_queue);
-            account_.add(CycleLeaf::StallMemL2Miss, crit.l2_miss_serve);
-        }
+        account_.add(CycleLeaf::Issue, crit.port_wait + crit.hit_base);
+        account_.add(CycleLeaf::StallMemL1Miss, crit.l1_miss_extra);
+        account_.add(CycleLeaf::StallMemDramQueue, crit.dram_queue);
+        account_.add(CycleLeaf::StallMemL2Miss, crit.l2_miss_serve);
     }
 
     // ------------------------------------------------------------------
@@ -342,20 +309,6 @@ TraversalSim::stepStack(Cycle now)
     }
 
     if (running_mask_ == 0) {
-        // Lanes the schedule trained write their predictor-table entry
-        // back when the job completes. Fire-and-forget stores (same
-        // policy as global stack spills): bandwidth is charged, nothing
-        // gates on completion. The plan is a pure function of the
-        // workload, so every stack configuration issues the same
-        // writes.
-        if (const PredictorJobPlan *plan = predictorPlan()) {
-            for (uint32_t mask = plan->write_mask; mask != 0;
-                 mask &= mask - 1) {
-                uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
-                mem_.accessRange(sm_, plan->entry[i], kPredictorEntryBytes,
-                                 true, TrafficClass::Predictor, start);
-            }
-        }
         SMS_ASSERT(cursor_.atEnd() &&
                        counters_.steps == cursor_.tape()->steps,
                    "traversal tape not fully consumed: %llu of %u "

@@ -33,7 +33,6 @@
 #include "src/memory/memory_system.hpp"
 #include "src/memory/shared_memory.hpp"
 #include "src/sim/gpu_config.hpp"
-#include "src/sim/ray_predictor.hpp"
 #include "src/sim/traversal_tape.hpp"
 #include "src/sim/warp_job.hpp"
 #include "src/stats/cycle_accounting.hpp"
@@ -81,16 +80,13 @@ class TraversalSim
      *               the job
      * @param links  parent/slot links; required when the traversal
      *               architecture is Stackless
-     * @param predictor precomputed predictor schedule; required when
-     *               the architecture is Predicted
      */
     TraversalSim(const WideBvh &bvh, const GpuConfig &config,
                  const WarpJob &job, const JobTape &tape, uint32_t sm,
                  Addr shared_base, Addr local_base, MemorySystem &mem,
                  SharedMemory &shared_mem, DepthObserver *observer,
                  Histogram *depth_hist = nullptr,
-                 const StacklessLinks *links = nullptr,
-                 const PredictorSchedule *predictor = nullptr);
+                 const StacklessLinks *links = nullptr);
 
     /**
      * Rearm this instance for a new warp job (BVH, GPU config and
@@ -165,9 +161,6 @@ class TraversalSim
      */
     LaneOutcome laneStepStackless(uint32_t lane_id);
 
-    /** This job's predictor plan; null unless the arch is Predicted. */
-    const PredictorJobPlan *predictorPlan() const;
-
     void finishLane(uint32_t lane_id, bool abandoned);
 
     /** Run the manager rounds over txn_arena_'s per-lane lists. */
@@ -196,8 +189,6 @@ class TraversalSim
     const WideBvh &bvh_;
     /** Parent/slot links; non-null exactly when the arch is Stackless. */
     const StacklessLinks *links_;
-    /** Predictor schedule; non-null exactly when the arch is Predicted. */
-    const PredictorSchedule *predictor_;
     const GpuConfig &config_;
     WarpJob job_;
     uint32_t sm_;

@@ -16,7 +16,6 @@
 #include "src/bvh/node_layout.hpp"
 #include "src/bvh/stackless.hpp"
 #include "src/bvh/traverse.hpp"
-#include "src/sim/ray_predictor.hpp"
 #include "src/stats/metrics.hpp"
 
 namespace sms {
@@ -200,9 +199,6 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
     StacklessLinks links;
     if (stackless)
         links = StacklessLinks::build(bvh);
-    PredictorSchedule predictor;
-    if (variant.arch.kind == TraversalArchKind::Predicted)
-        predictor = buildPredictorSchedule(jobs, bvh, variant.arch);
 
     // Lane state, reused across jobs. A stack lane keeps a plain LIFO:
     // the stack model is value-exact, so no stack configuration changes
@@ -219,8 +215,6 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
     for (uint32_t j = 0; j < jobs.size(); ++j) {
         const WarpJob &job = jobs[j];
         SMS_ASSERT(job.job_id == j, "jobs must be indexed by job_id");
-        const PredictorJobPlan *plan =
-            predictor.empty() ? nullptr : &predictor.jobs[j];
         TapeWriter writer(&tape.jobs[j]);
 
         uint32_t running = 0;
@@ -237,10 +231,6 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
                 continue;
             }
             stacks[i].assign(1, bvh.rootRef().stackValue());
-            // A predictor hit lands its leaf on top of the root, so the
-            // first step visits the predicted leaf.
-            if (plan && ChildRef::fromBits(plan->predicted[i]).isLeaf())
-                stacks[i].push_back(plan->predicted[i]);
         }
 
         // A leaf visit; true when an any-hit lane found its hit.
@@ -303,7 +293,7 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
         };
 
         uint32_t mismatches = 0;
-        for (bool first = true; running != 0; first = false) {
+        while (running != 0) {
             // Fetch: the lines this step needs across the running
             // lanes, coalesced as the RT unit's memory scheduler does.
             // Stackless lanes fetch the node they visit (backtracking
@@ -334,14 +324,6 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
                                   bvh.primitiveFetchBytes(scene, prim),
                                   TrafficClass::Primitive);
                 }
-            }
-            // A predicted job's first step also probes the predictor
-            // table, one entry per lane.
-            for (uint32_t m = first && plan ? running : 0; m != 0;
-                 m &= m - 1) {
-                uint32_t i = static_cast<uint32_t>(__builtin_ctz(m));
-                addFetchRange(lines, plan->entry[i], kPredictorEntryBytes,
-                              TrafficClass::Predictor);
             }
             // Packed entries sort exactly like (line, class) pairs.
             std::sort(lines.begin(), lines.end());

@@ -135,10 +135,10 @@ uint64_t workloadFingerprint(const WarpJobList &jobs, const WideBvh &bvh);
 
 /**
  * The functional pass: walk @p jobs warp-synchronously over @p bvh with
- * the machine @p variant selects (per-lane stack, stackless parent
- * links, or the predicted stack machine) on exact or quantized nodes,
- * and write every job's per-step outcomes to its tape. Untimed, and
- * takes no stack configuration, so a tape cannot depend on one.
+ * the machine @p variant selects (per-lane stack or stackless parent
+ * links) on exact or quantized nodes, and write every job's per-step
+ * outcomes to its tape. Untimed, and takes no stack configuration, so
+ * a tape cannot depend on one.
  *
  * Each lane's final hit is checked against the oracle in its WarpJob;
  * JobTape::mismatches counts the lanes that disagree. @p jobs is the
@@ -249,6 +249,11 @@ class TapeCursor
         uint64_t idx = 0;
         for (uint64_t i = 0; i < count; ++i) {
             uint64_t v = varint();
+            // Two bits hold the class but only kTrafficClassCount values
+            // exist; replay indexes per-class counters with it.
+            SMS_ASSERT((v & 3) < kTrafficClassCount,
+                       "traversal tape fetch line with traffic class %u",
+                       static_cast<unsigned>(v & 3));
             idx += v >> 2;
             lines.push_back((idx << 2) | (v & 3));
         }

@@ -27,20 +27,18 @@ const char *const kLeafNames[kCycleLeafCount] = {
     "stall.mem.dram_queue",
     "stall.shmem.bank_conflict",
     "stall.arch.backtrack",
-    "stall.arch.predictor",
     "idle.done",
 };
 
 /**
- * The stall.arch.* leaves only exist for the non-default traversal
- * architectures; they are emitted conditionally so default-architecture
+ * The stall.arch.backtrack leaf only exists for the stackless
+ * architecture; it is emitted conditionally so default-architecture
  * records (including the checked-in goldens) stay byte-identical.
  */
 bool
 leafEmittedWhenZero(int idx)
 {
-    return idx != static_cast<int>(CycleLeaf::StallArchBacktrack) &&
-           idx != static_cast<int>(CycleLeaf::StallArchPredictor);
+    return idx != static_cast<int>(CycleLeaf::StallArchBacktrack);
 }
 
 } // namespace

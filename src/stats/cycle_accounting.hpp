@@ -37,10 +37,6 @@
  *    revisiting an interior node via its parent link instead of
  *    popping a stack entry (the stackless traversal's redundant-work
  *    overhead, kept separate from "intersect" useful work).
- *  - "stall.arch.predictor": predicted architecture only — the entire
- *    fetch window of each job's first step, which carries the
- *    predictor-table probe lines alongside the root fetch (the cost of
- *    consulting the predictor before normal traversal starts).
  *  - "idle.done": RT-unit slot cycles with no job in flight (derived
  *    at run scope: slots * frame cycles - sum of active cycles).
  *
@@ -75,12 +71,11 @@ enum class CycleLeaf : uint8_t
     StallMemDramQueue,     ///< fetch critical line: DRAM queue wait
     StallShmemBankConflict, ///< SH-stack serialization passes
     StallArchBacktrack,    ///< stackless: parent-link revisit op windows
-    StallArchPredictor,    ///< predicted: predictor-probe fetch windows
     IdleDone,              ///< RT-unit slot idle (no job in flight)
 };
 
 /** Number of leaves. */
-constexpr int kCycleLeafCount = 13;
+constexpr int kCycleLeafCount = 12;
 
 /** Dotted hierarchical name ("stall.stack.spill", ...). */
 const char *cycleLeafName(CycleLeaf leaf);

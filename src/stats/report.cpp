@@ -523,10 +523,6 @@ toJson(const DramStats &s)
     by_class["node"] = s.by_class[0];
     by_class["primitive"] = s.by_class[1];
     by_class["stack"] = s.by_class[2];
-    // Only the predictor architecture generates class-3 traffic; keep
-    // default-architecture records byte-identical to older files.
-    if (s.by_class[3] != 0)
-        by_class["predictor"] = s.by_class[3];
     v["by_class"] = by_class;
     v["queue_wait_cycles"] = s.queue_wait_cycles;
     v["busy_cycles"] = s.busy_cycles;
@@ -634,8 +630,6 @@ toJson(const SimResult &r)
     l1_cls["node"] = r.l1_class_misses[0];
     l1_cls["primitive"] = r.l1_class_misses[1];
     l1_cls["stack"] = r.l1_class_misses[2];
-    if (r.l1_class_misses[3] != 0)
-        l1_cls["predictor"] = r.l1_class_misses[3];
     l1["class_misses"] = l1_cls;
     v["l1"] = l1;
     JsonValue l2 = toJson(r.l2);
@@ -643,8 +637,6 @@ toJson(const SimResult &r)
     l2_cls["node"] = r.l2_class_misses[0];
     l2_cls["primitive"] = r.l2_class_misses[1];
     l2_cls["stack"] = r.l2_class_misses[2];
-    if (r.l2_class_misses[3] != 0)
-        l2_cls["predictor"] = r.l2_class_misses[3];
     l2["class_misses"] = l2_cls;
     v["l2"] = l2;
     v["dram"] = toJson(r.dram);
@@ -824,10 +816,10 @@ compareMetric(const std::string &where, const char *metric,
  * Two records can pair cells under identical scene/config keys and
  * still disagree on the traversal-variant axes behind those keys —
  * e.g. one file's column was recorded as a stackless run and the
- * other's as a predictor run. Every numeric delta downstream would
+ * other's as a stack run. Every numeric delta downstream would
  * then be diagnosed against the wrong baseline, so each diverging
  * axis is reported as its own issue naming the two human-readable
- * values ("sl" vs "pred") rather than leaving the reader to decode
+ * values ("sl" vs "default") rather than leaving the reader to decode
  * variant digests. Axes absent from both cells (the default variant
  * suppresses them) compare equal.
  */

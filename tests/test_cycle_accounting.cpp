@@ -89,20 +89,17 @@ TEST(CycleAccount, JsonShape)
     ASSERT_NE(leaves, nullptr);
     EXPECT_EQ(leaves->numberOr("stall.stack.borrow_chain", 0), 7.0);
     EXPECT_EQ(leaves->numberOr("idle.done", 0), 2.0);
-    // The stall.arch.* leaves only exist under the non-default
-    // traversal architectures; at zero they are suppressed so
-    // default-architecture records stay byte-identical to older files.
-    EXPECT_EQ(leaves->size(), static_cast<size_t>(kCycleLeafCount) - 2);
+    // The stall.arch.backtrack leaf only exists under the stackless
+    // architecture; at zero it is suppressed so default-architecture
+    // records stay byte-identical to older files.
+    EXPECT_EQ(leaves->size(), static_cast<size_t>(kCycleLeafCount) - 1);
     EXPECT_EQ(leaves->find("stall.arch.backtrack"), nullptr);
-    EXPECT_EQ(leaves->find("stall.arch.predictor"), nullptr);
     a.add(CycleLeaf::StallArchBacktrack, 3);
-    a.add(CycleLeaf::StallArchPredictor, 4);
     JsonValue v2 = toJson(a);
     const JsonValue *leaves2 = v2.find("leaves");
     ASSERT_NE(leaves2, nullptr);
     EXPECT_EQ(leaves2->size(), static_cast<size_t>(kCycleLeafCount));
     EXPECT_EQ(leaves2->numberOr("stall.arch.backtrack", 0), 3.0);
-    EXPECT_EQ(leaves2->numberOr("stall.arch.predictor", 0), 4.0);
 }
 
 class CycleAccountingSim : public ::testing::Test

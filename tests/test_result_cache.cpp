@@ -157,9 +157,9 @@ TEST(ResultCache, DigestSeparatesConfigs)
 
 TEST(ResultCache, DigestSeparatesTraversalVariantAxes)
 {
-    // The node-layout and ray-order axes change the functional
-    // traversal, so configs differing ONLY there must map to distinct
-    // cache cells; likewise the decode-latency knob.
+    // The node-layout, ray-order and architecture axes change the
+    // functional traversal, so configs differing ONLY there must map to
+    // distinct cache cells; likewise the decode-latency knob.
     GpuConfig base = makeGpuConfig(StackConfig::sms());
     uint64_t d_base = gpuConfigDigest(base);
 
@@ -171,6 +171,8 @@ TEST(ResultCache, DigestSeparatesTraversalVariantAxes)
     mort.ray_order = RayOrderConfig::octantMorton();
     GpuConfig both = q8;
     both.ray_order = RayOrderConfig::octantMorton();
+    GpuConfig sl = base;
+    sl.traversal_arch = TraversalArchConfig::stackless();
     GpuConfig decode = base;
     decode.timing.node_decode_op += 2;
 
@@ -180,6 +182,7 @@ TEST(ResultCache, DigestSeparatesTraversalVariantAxes)
     EXPECT_NE(gpuConfigDigest(mort), d_base);
     EXPECT_NE(gpuConfigDigest(both), gpuConfigDigest(q8));
     EXPECT_NE(gpuConfigDigest(both), gpuConfigDigest(mort));
+    EXPECT_NE(gpuConfigDigest(sl), d_base);
     EXPECT_NE(gpuConfigDigest(decode), d_base);
 
     // An exact layout ignores bits_per_plane: not part of the key.

@@ -2,20 +2,17 @@
  * @file
  * Competing-traversal-architecture tests: stackless parent-link
  * structure, bit-identical differential traversal against the stack
- * reference (closest and any-hit, randomized scenes), the ray-path
- * predictor's hash/schedule semantics, end-to-end simulation of both
- * architectures against the functional oracle (zero stack traffic for
- * stackless, predictor-table traffic for predicted, the stall.arch.*
- * accounting leaves, zero-epsilon conservation), one tape replayed
- * under two stack configurations, and variant/result-cache digest
- * distinctness. test_variant_pins pins both machines' tapes and
- * results byte for byte.
+ * reference (closest and any-hit, randomized scenes), end-to-end
+ * simulation against the functional oracle (zero stack traffic, the
+ * stall.arch.backtrack accounting leaf, zero-epsilon conservation),
+ * one tape replayed under two stack configurations, and
+ * variant/result-cache digest distinctness. test_variant_pins pins
+ * both machines' tapes and results byte for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "src/bvh/stackless.hpp"
@@ -24,7 +21,6 @@
 #include "src/scene/registry.hpp"
 #include "src/serve/result_cache.hpp"
 #include "src/sim/gpu_sim.hpp"
-#include "src/sim/ray_predictor.hpp"
 #include "src/sim/traversal_tape.hpp"
 #include "src/trace/render.hpp"
 #include "src/util/rng.hpp"
@@ -79,25 +75,13 @@ TEST(TraversalArchConfig, NamesAndEquality)
 {
     EXPECT_FALSE(TraversalArchConfig::stack().active());
     EXPECT_TRUE(TraversalArchConfig::stackless().active());
-    EXPECT_TRUE(TraversalArchConfig::predicted().active());
     EXPECT_STREQ(TraversalArchConfig::stack().name(), "stack");
     EXPECT_STREQ(TraversalArchConfig::stackless().name(), "sl");
-    EXPECT_STREQ(TraversalArchConfig::predicted().name(), "pred");
 
     EXPECT_EQ(TraversalArchConfig::stackless(),
               TraversalArchConfig::stackless());
     EXPECT_NE(TraversalArchConfig::stack(),
               TraversalArchConfig::stackless());
-    // Predictor parameters participate in equality only when the
-    // predictor is selected.
-    TraversalArchConfig a = TraversalArchConfig::predicted();
-    TraversalArchConfig b = TraversalArchConfig::predicted();
-    b.predictor_entries_log2 = 10;
-    EXPECT_NE(a, b);
-    TraversalArchConfig c = TraversalArchConfig::stackless();
-    TraversalArchConfig d = TraversalArchConfig::stackless();
-    d.predictor_entries_log2 = 10;
-    EXPECT_EQ(c, d);
 }
 
 TEST(TraversalArchConfig, VariantDigestsAreDistinct)
@@ -105,27 +89,15 @@ TEST(TraversalArchConfig, VariantDigestsAreDistinct)
     GpuConfig base = makeGpuConfig(StackConfig::sms());
     GpuConfig sl = base;
     sl.traversal_arch = TraversalArchConfig::stackless();
-    GpuConfig pred = base;
-    pred.traversal_arch = TraversalArchConfig::predicted();
-    GpuConfig pred_small = pred;
-    pred_small.traversal_arch.predictor_entries_log2 = 8;
 
     EXPECT_EQ(base.variant().digest(), 0u);
-    std::set<uint64_t> digests{sl.variant().digest(),
-                               pred.variant().digest(),
-                               pred_small.variant().digest()};
-    EXPECT_EQ(digests.size(), 3u);
-    EXPECT_EQ(digests.count(0), 0u);
+    EXPECT_NE(sl.variant().digest(), 0u);
 
     // The architecture also keys the result cache.
-    std::set<uint64_t> cfg{gpuConfigDigest(base), gpuConfigDigest(sl),
-                           gpuConfigDigest(pred),
-                           gpuConfigDigest(pred_small)};
-    EXPECT_EQ(cfg.size(), 4u);
+    EXPECT_NE(gpuConfigDigest(sl), gpuConfigDigest(base));
 
     // And the display tag names it.
-    EXPECT_NE(sl.variant().tag().find("sl"), std::string::npos);
-    EXPECT_NE(pred.variant().tag().find("pred"), std::string::npos);
+    EXPECT_EQ(sl.variant().tag(), "sl");
 }
 
 // ---------------------------------------------------------------------
@@ -182,10 +154,10 @@ TEST(StacklessTraversal, ClosestHitBitIdenticalToStack)
             ASSERT_EQ(b.valid(), a.valid())
                 << "seed " << seed << " ray " << r;
             if (a.valid()) {
-                // Bit-identical, including the winning primitive on
-                // equal-t ties: a subtree the stackless re-test culls
-                // under a tightened tMax could never have updated the
-                // hit (its entry distance already exceeds tMax).
+                // Bit-identical, including the winning primitive: on
+                // these soups no primitive lies on the entry face of a
+                // leaf the stackless re-test culls, which is the one
+                // way a culled leaf could still win an exact-t tie.
                 EXPECT_EQ(b.t, a.t) << "seed " << seed << " ray " << r;
                 EXPECT_EQ(b.primitive, a.primitive)
                     << "seed " << seed << " ray " << r;
@@ -220,85 +192,6 @@ TEST(StacklessTraversal, AnyHitMatchesStack)
     // The soup is dense enough that both outcomes occur.
     EXPECT_GT(hits, 0u);
     EXPECT_LT(hits, 400u);
-}
-
-// ---------------------------------------------------------------------
-// Predictor hash and schedule
-// ---------------------------------------------------------------------
-
-TEST(RayPredictor, HashIsDeterministicAndParamSensitive)
-{
-    TraversalArchConfig arch = TraversalArchConfig::predicted();
-    Ray a({1.0f, 2.0f, 3.0f}, normalize(Vec3{1, 1, 0}));
-    Ray b({1.0f, 2.0f, 3.0f}, normalize(Vec3{1, 1, 0}));
-    EXPECT_EQ(rayPredictorHash(a, arch), rayPredictorHash(b, arch));
-
-    Ray far_origin({40.0f, 2.0f, 3.0f}, normalize(Vec3{1, 1, 0}));
-    EXPECT_NE(rayPredictorHash(a, arch),
-              rayPredictorHash(far_origin, arch));
-    Ray flipped({1.0f, 2.0f, 3.0f}, normalize(Vec3{-1, 1, 0}));
-    EXPECT_NE(rayPredictorHash(a, arch), rayPredictorHash(flipped, arch));
-
-    // Coarser quantization folds nearby rays onto one slot.
-    TraversalArchConfig coarse = arch;
-    coarse.predictor_origin_bits = 0;
-    coarse.predictor_dir_bits = 0;
-    Ray nudged({1.0f + 1e-6f, 2.0f, 3.0f}, normalize(Vec3{1, 1, 0}));
-    EXPECT_EQ(rayPredictorHash(a, coarse),
-              rayPredictorHash(nudged, coarse));
-}
-
-TEST(RayPredictor, ScheduleTrainsInJobOrder)
-{
-    Scene scene = randomSoup(300, 31);
-    WideBvh bvh = WideBvh::build(scene);
-    TraversalArchConfig arch = TraversalArchConfig::predicted();
-
-    // Two closest-hit jobs carrying the same ray in lane 0: the first
-    // probes a cold table, the second must see the leaf the first
-    // trained.
-    Pcg32 rng(99);
-    Ray ray;
-    HitRecord oracle;
-    do {
-        ray = randomRay(rng);
-        oracle = traverseClosest(scene, bvh, ray);
-    } while (!oracle.valid());
-
-    WarpJobList jobs(2);
-    for (uint32_t j = 0; j < 2; ++j) {
-        jobs[j].job_id = j;
-        jobs[j].warp_id = j;
-        jobs[j].any_hit = false;
-        jobs[j].active[0] = true;
-        jobs[j].rays[0] = ray;
-        jobs[j].expected_hit[0] = true;
-        jobs[j].expected_t[0] = oracle.t;
-        jobs[j].expected_prim[0] = oracle.primitive;
-    }
-
-    PredictorSchedule schedule = buildPredictorSchedule(jobs, bvh, arch);
-    ASSERT_EQ(schedule.jobs.size(), 2u);
-    // Cold probe: nothing predicted, but the first job trains lane 0.
-    EXPECT_EQ(schedule.jobs[0].predicted[0], 0u);
-    EXPECT_EQ(schedule.jobs[0].write_mask & 1u, 1u);
-    // Warm probe: a valid leaf containing the expected primitive.
-    ChildRef predicted =
-        ChildRef::fromBits(schedule.jobs[1].predicted[0]);
-    ASSERT_TRUE(predicted.isLeaf());
-    bool covers = false;
-    for (uint32_t i = 0; i < predicted.primCount(); ++i)
-        covers |= bvh.primIndices()[predicted.primOffset() + i] ==
-                  oracle.primitive;
-    EXPECT_TRUE(covers);
-    // Identical ray, identical table state: both probe the same entry.
-    EXPECT_EQ(schedule.jobs[1].entry[0], schedule.jobs[0].entry[0]);
-
-    // An any-hit job never trains the table.
-    jobs[0].any_hit = true;
-    PredictorSchedule shadow = buildPredictorSchedule(jobs, bvh, arch);
-    EXPECT_EQ(shadow.jobs[0].write_mask, 0u);
-    EXPECT_EQ(shadow.jobs[1].predicted[0], 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -343,27 +236,6 @@ TEST_F(TraversalArchWorkload, StacklessMatchesOracleWithZeroStackTraffic)
     // dedicated accounting leaf; conservation still closes exactly.
     EXPECT_GT(r.ops.node_visits, base.ops.node_visits);
     EXPECT_GT(r.accounting.leaf(CycleLeaf::StallArchBacktrack), 0u);
-    EXPECT_EQ(r.accounting.leaf(CycleLeaf::StallArchPredictor), 0u);
-    EXPECT_TRUE(r.accounting.conserved());
-}
-
-TEST_F(TraversalArchWorkload, PredictedMatchesOracleWithPredictorTraffic)
-{
-    SimResult base =
-        runWorkload(*workload_, makeGpuConfig(StackConfig::baseline(8)));
-
-    GpuConfig config = makeGpuConfig(StackConfig::baseline(8));
-    config.traversal_arch = TraversalArchConfig::predicted();
-    SimResult r = runWorkload(*workload_, config);
-
-    EXPECT_EQ(r.mismatches, 0u);
-    EXPECT_EQ(r.rays, base.rays);
-    // The predictor table is a real traffic class: probes and
-    // train-writebacks reach DRAM (compulsory misses at minimum).
-    EXPECT_GT(r.dram.by_class[static_cast<int>(TrafficClass::Predictor)],
-              0u);
-    EXPECT_GT(r.accounting.leaf(CycleLeaf::StallArchPredictor), 0u);
-    EXPECT_EQ(r.accounting.leaf(CycleLeaf::StallArchBacktrack), 0u);
     EXPECT_TRUE(r.accounting.conserved());
 }
 

@@ -133,6 +133,22 @@ TEST(TraversalTape, FetchPhaseRoundTrip)
     EXPECT_TRUE(cursor.atEnd());
 }
 
+TEST(TraversalTape, FetchLineWithUnknownTrafficClassIsRejected)
+{
+    // The class field is two bits wide but holds only three classes; a
+    // tape carrying the fourth value must stop replay, not index past
+    // the per-class counters.
+    JobTape tape;
+    TapeWriter writer(&tape);
+    writer.fetchPhase({(5u << 2) | 3u}, true, false, 0);
+    TapeCursor cursor(&tape);
+    FetchLineList got;
+    bool has_internal = false, has_leaf = false;
+    uint32_t max_prims = 0;
+    EXPECT_DEATH(cursor.fetchPhase(got, has_internal, has_leaf, max_prims),
+                 "traffic class 3");
+}
+
 TEST(TraversalTape, LaneActionRoundTrip)
 {
     JobTape tape;

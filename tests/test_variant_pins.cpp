@@ -1,8 +1,8 @@
 /**
  * @file
  * Pins every traversal variant: for Tiny WKND, BUNNY and SHIP under
- * eight variants (default, q8, mort, q8+mort, sl, q8+sl, pred,
- * mort+pred) and four stack configurations, a 64-bit hash of each
+ * six variants (default, q8, mort, q8+mort, sl, q8+sl) and four stack
+ * configurations, a 64-bit hash of each
  * (scene, variant) traversal tape and of every cell's SimResult JSON
  * must equal the committed constants.
  *
@@ -10,8 +10,8 @@
  * tape is written to disk and read back here for hashing. The hashes
  * cover the per-job tape bytes, step counts and oracle mismatches, and
  * the full toJson(SimResult) dump, so any change to the quantized,
- * reordered, stackless or predicted machines, or to the timing model
- * they drive, shows up as a changed constant.
+ * reordered or stackless machines, or to the timing model they drive,
+ * shows up as a changed constant.
  */
 
 #include <gtest/gtest.h>
@@ -112,7 +112,6 @@ pinnedVariants()
     const NodeLayoutConfig q8 = NodeLayoutConfig::quantized(8);
     const RayOrderConfig mort = RayOrderConfig::octantMorton();
     const TraversalArchConfig sl = TraversalArchConfig::stackless();
-    const TraversalArchConfig pred = TraversalArchConfig::predicted();
     const NodeLayoutConfig exact = NodeLayoutConfig::exact();
     const RayOrderConfig none = RayOrderConfig::none();
     const TraversalArchConfig stack = TraversalArchConfig::stack();
@@ -120,7 +119,6 @@ pinnedVariants()
         {"default", {exact, none, stack}}, {"q8", {q8, none, stack}},
         {"mort", {exact, mort, stack}},    {"q8+mort", {q8, mort, stack}},
         {"sl", {exact, none, sl}},         {"q8+sl", {q8, none, sl}},
-        {"pred", {exact, none, pred}},     {"mort+pred", {exact, mort, pred}},
     };
 }
 
@@ -146,24 +144,18 @@ const Pin kPins[] = {
     {"WKND", "q8+mort", 0x1d0c161672131eb5, {0x9f2eacc75fdf04ea, 0xbe4df40eb940f133, 0x2e9e045a4ade7333, 0x4f1249f0aa88b1df}},
     {"WKND", "sl", 0xff0c234b6550fc8e, {0x15b3e994b80a12aa, 0x15b3e994b80a12aa, 0x15b3e994b80a12aa, 0x15b3e994b80a12aa}},
     {"WKND", "q8+sl", 0x2b3c736a121cd4cd, {0x8f9bf61e5498f9fe, 0x8f9bf61e5498f9fe, 0x8f9bf61e5498f9fe, 0x8f9bf61e5498f9fe}},
-    {"WKND", "pred", 0x9f0b364b7965776d, {0xb2a97d47ce6dd3b5, 0xfb10424c0ea88eb7, 0xd8f84c831f589b3f, 0x8a7e0e39dc4ae64a}},
-    {"WKND", "mort+pred", 0x994b44bed45ec94c, {0x174226f4ad5c1b26, 0xc7e8de733c053352, 0xbf887072750e0cfb, 0x18daab155861037d}},
     {"BUNNY", "default", 0x6c4bbfc418dd3fa6, {0x853282298f29dff2, 0x6dfc29b94429ccd0, 0x01d4f9f7363b3f4f, 0x3e2bb38d0ff6b849}},
     {"BUNNY", "q8", 0x89ca6e1a093589df, {0x11ca177828c16ab8, 0xf7e7ca58a6f4a02b, 0xede8c249cf18a3fb, 0xf05833b8ae5ac454}},
     {"BUNNY", "mort", 0x32c3987945228b24, {0xa031a7110d3736d8, 0x1dc866400e440756, 0x4838cd378fd8f819, 0x33f53f14e107c404}},
     {"BUNNY", "q8+mort", 0x1135f4ef4ffd6196, {0x7d10724276ff80bc, 0x87f4a7c073787c83, 0x30a2f3b9f4867e40, 0xc2cc436d1feb38b5}},
     {"BUNNY", "sl", 0x5373e82470663b62, {0x1cd833f97459989e, 0x1cd833f97459989e, 0x1cd833f97459989e, 0x1cd833f97459989e}},
     {"BUNNY", "q8+sl", 0x050da5dbedf2bf0f, {0xe1652b9f365f58c2, 0xe1652b9f365f58c2, 0xe1652b9f365f58c2, 0xe1652b9f365f58c2}},
-    {"BUNNY", "pred", 0x32e80b16d947c8c3, {0xd7650b9120eae930, 0xa074ee07b5e51d8d, 0xc5a859350bc435ee, 0xdb206d60420a5684}},
-    {"BUNNY", "mort+pred", 0x3550294ad2900c29, {0x1730749cdfb58329, 0xd4505a9d878a8b86, 0xa8d6d43dbcdf2eb0, 0x93d8f3e6686babde}},
     {"SHIP", "default", 0x427ad73d2ba16d3a, {0x7b87b2dd0cd0c25f, 0x9935439ed6520c37, 0xfed3241ae021da94, 0x73a1298adf7894de}},
     {"SHIP", "q8", 0x9ecbd45b502f8c51, {0xd86bc926463b06a4, 0x4f011338c06c977a, 0x73c922e7488f5913, 0x6aea87e03e0f07f4}},
     {"SHIP", "mort", 0xc69c4e1b7ad7cda7, {0x0a3138ab0f8b0c8b, 0xce5c4d194f3f3a82, 0xbc31c17005ab82e9, 0x75498a4e4e86720c}},
     {"SHIP", "q8+mort", 0x9a10d08379c76b7f, {0x84e7fc056e48fd01, 0x66ad4279d909dc3f, 0xadd4418b21e5054e, 0xb523bfc29d1a6f02}},
     {"SHIP", "sl", 0x76af2a104c22d7b0, {0xd0844aec04109577, 0xd0844aec04109577, 0xd0844aec04109577, 0xd0844aec04109577}},
     {"SHIP", "q8+sl", 0x8015f0232e0361c3, {0xf31eef79a74a4eba, 0xf31eef79a74a4eba, 0xf31eef79a74a4eba, 0xf31eef79a74a4eba}},
-    {"SHIP", "pred", 0x15e94fea691d1f88, {0x36317777db9bdb32, 0x91682bc9f7f84d9d, 0xad7585c5ddfc7230, 0xe0b856506a08c683}},
-    {"SHIP", "mort+pred", 0xb64d6cd815e4291f, {0x55234c1f1085c84c, 0x7382866394517e17, 0xfc1f4ef859f6e0df, 0xcb6fe0a09360bd87}},
 };
 // clang-format on
 

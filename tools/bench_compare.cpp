@@ -101,7 +101,7 @@ printIssues(const std::vector<CompareIssue> &issues)
             std::printf("  %s\n", issue.where.c_str());
         } else if (issue.metric.rfind("variant:", 0) == 0) {
             // Variant-axis divergence carries no numbers — the metric
-            // string already names both sides ("'sl' vs 'pred'").
+            // string already names both sides ("'sl' vs 'default'").
             std::printf("  %s: %s\n", issue.where.c_str(),
                         issue.metric.c_str());
         } else if (issue.metric.find("class_misses") !=

@@ -25,7 +25,9 @@
  *         aggregate tree. Exit 1 on any violation.
  *
  * Exit codes: 0 = OK, 1 = conservation violation, 2 = usage / parse
- * error (including records with no accounting blocks at all).
+ * error (including records with no accounting blocks at all, and
+ * records carrying a leaf this build does not know, which has no
+ * column and no place in the sums).
  */
 
 #include <cinttypes>
@@ -73,10 +75,14 @@ isCellArray(const JsonValue &v)
            v.at(0).find("scene") && v.at(0).find("config");
 }
 
-/** Read one cycle_accounting JSON tree into leaf totals. */
+/**
+ * Read one cycle_accounting JSON tree into leaf totals. Fails with an
+ * empty @p error when the tree has no leaves, and names the leaf in
+ * @p error when it carries one this build does not know.
+ */
 bool
 readAccount(const JsonValue &acct, uint64_t leaves[kCycleLeafCount],
-            uint64_t &warp_active, uint64_t &slots)
+            uint64_t &warp_active, uint64_t &slots, std::string &error)
 {
     const JsonValue *leaf_obj = acct.find("leaves");
     if (!leaf_obj || !leaf_obj->isObject())
@@ -85,7 +91,11 @@ readAccount(const JsonValue &acct, uint64_t leaves[kCycleLeafCount],
         leaves[i] = 0;
     for (const auto &[name, count] : leaf_obj->members()) {
         int idx = cycleLeafFromName(name);
-        if (idx >= 0 && count.isNumber())
+        if (idx < 0) {
+            error = "unknown accounting leaf '" + name + "'";
+            return false;
+        }
+        if (count.isNumber())
             leaves[idx] = count.asU64();
     }
     warp_active =
@@ -113,10 +123,11 @@ totalSumOf(const uint64_t leaves[kCycleLeafCount])
     return sum;
 }
 
-/** Collect the accounting cells of one record. */
-void
+/** Collect the accounting cells of one record; false on an unknown leaf. */
+bool
 collectCells(const std::string &file, const JsonValue &record,
-             std::vector<CellAccounting> &out, size_t &skipped)
+             std::vector<CellAccounting> &out, size_t &skipped,
+             std::string &error)
 {
     std::string figure = record.stringOr("figure", "?");
     for (const auto &member : record.members()) {
@@ -141,12 +152,17 @@ collectCells(const std::string &file, const JsonValue &record,
                 static_cast<long long>(cell.numberOr("l1_override", 0));
             row.block = acct;
             if (readAccount(*acct, row.leaves, row.warp_active_cycles,
-                            row.slot_cycles))
+                            row.slot_cycles, error)) {
                 out.push_back(row);
-            else
+            } else if (error.empty()) {
                 ++skipped;
+            } else {
+                error = row.scene + "/" + row.config + ": " + error;
+                return false;
+            }
         }
     }
+    return true;
 }
 
 /**
@@ -180,8 +196,14 @@ checkCell(const CellAccounting &cell,
     for (size_t s = 0; s < per_sm->size(); ++s) {
         uint64_t leaves[kCycleLeafCount];
         uint64_t warp_active = 0, slots = 0;
-        if (!readAccount(per_sm->at(s), leaves, warp_active, slots))
+        std::string error;
+        if (!readAccount(per_sm->at(s), leaves, warp_active, slots,
+                         error)) {
+            if (!error.empty())
+                violations.push_back(where("SM ") + std::to_string(s) +
+                                     ": " + error);
             continue;
+        }
         uint64_t sm_active = activeSumOf(leaves);
         if (sm_active != warp_active)
             violations.push_back(
@@ -219,7 +241,7 @@ printText(const std::vector<CellAccounting> &cells)
     static const char *const kShort[kCycleLeafCount] = {
         "issue",  "isect",  "st.spill", "st.refil", "st.borrw",
         "st.flush", "m.l1ms", "m.l2ms", "m.dramq",  "sh.conf",
-        "a.btrk", "a.pred", "idle",
+        "a.btrk", "idle",
     };
     std::string last_header_key;
     for (const CellAccounting &cell : cells) {
@@ -325,8 +347,14 @@ main(int argc, char **argv)
 
     std::vector<CellAccounting> cells;
     size_t skipped = 0;
-    for (const auto &[path, doc_idx] : last_records)
-        collectCells(path, docs[doc_idx], cells, skipped);
+    for (const auto &[path, doc_idx] : last_records) {
+        std::string error;
+        if (!collectCells(path, docs[doc_idx], cells, skipped, error)) {
+            std::fprintf(stderr, "stall_report: %s: %s\n", path.c_str(),
+                         error.c_str());
+            return 2;
+        }
+    }
     if (cells.empty()) {
         std::fprintf(stderr,
                      "stall_report: no cycle_accounting blocks found "
