@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/scene/registry.hpp"
-#include "src/serve/heartbeat.hpp"
 #include "src/serve/result_cache.hpp"
 #include "src/serve/sweep_shard.hpp"
 #include "src/sim/gpu_sim.hpp"
@@ -264,8 +263,8 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
          const std::vector<SweepColumn> &columns, unsigned threads = 0)
 {
     timelineInitFromEnv();
-    metricsInitFromEnv();
-    heartbeatInitFromEnv();
+    const SweepShardSpec shard = sweepShardSpec();
+    metricsInitFromEnv(shard.index, shard.count);
     auto start = std::chrono::steady_clock::now();
     const bool tl = timelineOn(TimelineCategory::Sweep);
     uint32_t tl_pid = 0;
@@ -275,7 +274,7 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
         tl_start = timelineWallMicros();
     }
     SweepResult sweep;
-    sweep.shard = sweepShardSpec();
+    sweep.shard = shard;
     sweep.columns = columns;
     for (const auto &w : workloads)
         sweep.scene_names.push_back(sceneName(w->id));
@@ -294,15 +293,15 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
     };
 
     // Live telemetry: publish how many cells this process owns before
-    // any of them runs, so heartbeat progress bars have a denominator
-    // from the very first sample.
+    // any of them runs, so progress bars over the series have a
+    // denominator from the very first sample.
     if (metricsOn()) {
         uint64_t owned_cells = 0;
         for (size_t s = 0; s < workloads.size(); ++s)
             for (size_t c = 0; c < num_configs; ++c)
                 if (owned(s, c))
                     ++owned_cells;
-        heartbeatNoteCellsOwned(owned_cells);
+        metricCounter("sweep.cells_owned").add(owned_cells);
     }
     // Per-cell completion instrumentation, shared by the cache-hit and
     // simulated paths. The wall histogram only sees simulated cells
@@ -314,6 +313,7 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
             metricCounter("sweep.cells_cache_hits");
         static MetricCounter &m_simulated =
             metricCounter("sweep.cells_simulated");
+        static MetricCounter &m_done = metricCounter("sweep.cells_done");
         static MetricHistogram &m_wall = metricHistogram(
             "sweep.cell_wall_ms",
             {1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000});
@@ -323,7 +323,7 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
             m_simulated.add();
             m_wall.observe(wall_seconds * 1e3);
         }
-        heartbeatNoteCellDone();
+        m_done.add();
     };
 
     // Result-cache keys: one workload fingerprint per scene, one
@@ -701,11 +701,10 @@ class JsonReporter
                                 resolvePath(spec), argc, argv);
         }
         // Telemetry starts only here, after the coordinator branch: a
-        // coordinator process must not run a sampler or write a
-        // heartbeat of its own — it only watches its workers'.
-        metricsInitFromEnv();
-        heartbeatInitFromEnv();
+        // coordinator process must not run a sampler of its own — it
+        // only watches its workers' series.
         shard_ = sweepShardSpec();
+        metricsInitFromEnv(shard_.index, shard_.count);
         if (shard_.active() && spec.empty())
             warn("shard %u/%u is active without --json/SMS_JSON; the "
                  "partial results have nowhere to go and cannot be "
@@ -871,20 +870,23 @@ class JsonReporter
         ++cells_total_;
     }
 
-    /** Stamp the wall time and append the record to the file. */
+    /**
+     * Mark the metrics series done, then stamp the wall time and
+     * append the record to the file.
+     */
     void
     finish()
     {
-        if (!enabled() || finished_)
+        if (finished_)
             return;
         finished_ = true;
-        // Final telemetry flush first, so the throughput block below
-        // reports the heartbeat/sample counts including the last write
-        // and watchers see the finished state as soon as possible.
-        if (heartbeatActive())
-            heartbeatFinish();
-        else if (metricsActive())
-            metricsFlushNow();
+        // Final telemetry flush first (the series' first done: true
+        // line, also for a run that writes no record), so the
+        // throughput block below counts that sample and watchers see
+        // the finished state as soon as possible.
+        metricsFinish();
+        if (!enabled())
+            return;
         auto elapsed = std::chrono::steady_clock::now() - start_;
         record_["wall_seconds"] =
             std::chrono::duration<double>(elapsed).count();
@@ -950,8 +952,10 @@ class JsonReporter
             m_json["path"] = ms.path;
             m_json["interval_ms"] = ms.interval_ms;
             m_json["samples"] = ms.samples;
-            m_json["heartbeat_dir"] = heartbeatDir();
-            m_json["heartbeat_writes"] = heartbeatWriteCount();
+            // Fixed empty values: sms-bench-1 never drops a key
+            // (docs/FORMATS.md).
+            m_json["heartbeat_dir"] = "";
+            m_json["heartbeat_writes"] = 0;
             throughput["metrics"] = std::move(m_json);
         }
         record_["throughput"] = std::move(throughput);

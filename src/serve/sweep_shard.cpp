@@ -15,15 +15,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <dirent.h>
 #include <limits>
 #include <map>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "src/serve/heartbeat.hpp"
 #include "src/stats/cycle_accounting.hpp"
 #include "src/stats/histogram.hpp"
+#include "src/stats/metrics.hpp"
 #include "src/trace/cache_io.hpp"
 #include "src/util/check.hpp"
 
@@ -146,22 +145,21 @@ mergeThroughput(const std::vector<const JsonValue *> &blocks)
     if (any_metrics) {
         JsonValue mv = JsonValue::object();
         mv["enabled"] = orField(mets, "enabled");
-        std::string mpath, hb_dir;
+        std::string mpath;
         double interval = 0.0;
         for (const JsonValue *m : mets)
             if (m) {
                 if (mpath.empty())
                     mpath = m->stringOr("path", "");
-                if (hb_dir.empty())
-                    hb_dir = m->stringOr("heartbeat_dir", "");
                 if (interval == 0.0)
                     interval = m->numberOr("interval_ms", 0.0);
             }
         mv["path"] = mpath;
         mv["interval_ms"] = interval;
         mv["samples"] = sumField(mets, "samples");
-        mv["heartbeat_dir"] = hb_dir;
-        mv["heartbeat_writes"] = sumField(mets, "heartbeat_writes");
+        // Fixed empty values: sms-bench-1 never drops a key.
+        mv["heartbeat_dir"] = "";
+        mv["heartbeat_writes"] = 0;
         tp["metrics"] = std::move(mv);
     }
     return tp;
@@ -558,65 +556,31 @@ describeExitStatus(int status)
                      status);
 }
 
-/** The sampler period the workers will use (mirrors metrics.cpp). */
-uint32_t
-metricsIntervalMsFromEnv()
-{
-    const char *env = std::getenv("SMS_METRICS_INTERVAL_MS");
-    if (env && *env) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end && !*end && v >= 1 && v <= 3600000)
-            return static_cast<uint32_t>(v);
-    }
-    return 250;
-}
-
-/** Delete leftover `shard-*.hb` files of a previous coordinator run. */
-void
-clearHeartbeatDir(const std::string &dir)
-{
-    DIR *d = ::opendir(dir.c_str());
-    if (!d)
-        return;
-    std::vector<std::string> victims;
-    while (struct dirent *e = ::readdir(d)) {
-        std::string name = e->d_name;
-        if (name.rfind("shard-", 0) == 0 &&
-            name.size() > 3 &&
-            name.compare(name.size() - 3, 3, ".hb") == 0)
-            victims.push_back(dir + "/" + name);
-    }
-    ::closedir(d);
-    for (const std::string &v : victims)
-        std::remove(v.c_str());
-}
-
 /**
- * One status line over the current heartbeats: a ten-cell progress bar
- * plus done/owned counts per shard, and a STALLED marker when a
- * heartbeat has not been refreshed for @p stall_after seconds.
+ * One shard's cell of the coordinator's status line: a ten-cell
+ * progress bar plus done/owned counts from the series tail, and a
+ * STALLED marker when the series has not grown for @p stall_after
+ * seconds.
  */
 std::string
-heartbeatProgressLine(const std::vector<HeartbeatView> &views,
-                      double stall_after)
+shardProgress(uint32_t index, const MetricsTail &tail, double stall_after)
 {
-    std::string line = "shards:";
-    for (const HeartbeatView &v : views) {
-        double p = v.info.progress();
-        int fill = static_cast<int>(p * 10.0 + 0.5);
-        fill = fill < 0 ? 0 : fill > 10 ? 10 : fill;
-        line += strprintf(
-            " %u:[%.*s%.*s] %llu/%llu", v.info.shard_index, fill,
-            "##########", 10 - fill, "..........",
-            static_cast<unsigned long long>(v.info.cells_done),
-            static_cast<unsigned long long>(v.info.cells_owned));
-        if (v.info.done)
-            line += " done";
-        else if (v.age_seconds > stall_after)
-            line += " STALLED";
-    }
-    return line;
+    const MetricsSnapshot &snap = tail.snapshot;
+    uint64_t owned = snap.counterOr("sweep.cells_owned", 0);
+    uint64_t done = snap.counterOr("sweep.cells_done", 0);
+    double p = owned ? static_cast<double>(done) / owned
+                     : (snap.done ? 1.0 : 0.0);
+    int fill = static_cast<int>(p * 10.0 + 0.5);
+    fill = fill < 0 ? 0 : fill > 10 ? 10 : fill;
+    std::string cell = strprintf(
+        " %u:[%.*s%.*s] %llu/%llu", index, fill, "##########", 10 - fill,
+        "..........", static_cast<unsigned long long>(done),
+        static_cast<unsigned long long>(owned));
+    if (snap.done)
+        cell += " done";
+    else if (tail.age_seconds > stall_after)
+        cell += " STALLED";
+    return cell;
 }
 
 } // namespace
@@ -637,27 +601,15 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
         n > 0 ? std::string(exe, static_cast<size_t>(n))
               : std::string(argv[0]);
 
-    // Heartbeat watching: honor an explicit SMS_HEARTBEAT_DIR; when
-    // only SMS_METRICS asked for telemetry, default the heartbeats next
-    // to the merged record so sweep_top has something to watch. With
-    // neither set, telemetry stays completely off.
-    const char *hb_env = std::getenv("SMS_HEARTBEAT_DIR");
+    // Live progress: with SMS_METRICS set, worker i writes its own
+    // series <SMS_METRICS>.shard<i> (a sms-metrics-1 stream is
+    // single-pid by contract), and the coordinator watches their tails.
+    // Unset, telemetry stays completely off.
     const char *metrics_env = std::getenv("SMS_METRICS");
-    std::string hb_dir;
-    if (hb_env && *hb_env)
-        hb_dir = hb_env;
-    else if (metrics_env && *metrics_env)
-        hb_dir = json_path + ".hb";
-    if (!hb_dir.empty()) {
-        if (ensureDir(hb_dir))
-            clearHeartbeatDir(hb_dir);
-        else
-            warn("heartbeat directory %s not created; live shard "
-                 "progress will be unavailable",
-                 hb_dir.c_str());
-    }
+    const bool watch = metrics_env && *metrics_env;
 
     std::vector<std::string> worker_paths;
+    std::vector<std::string> series_paths;
     std::vector<pid_t> pids;
     for (uint32_t i = 1; i <= workers; ++i) {
         std::string wpath =
@@ -668,27 +620,21 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
         std::string json_flag = "--json=" + wpath;
 
         // Per-worker environment, prepared before fork (building it in
-        // the child would malloc between fork and exec): the shared
-        // heartbeat directory, and a per-shard metrics path so the
-        // workers' series do not interleave in one file (a
-        // sms-metrics-1 stream is single-pid by contract).
+        // the child would malloc between fork and exec): the per-shard
+        // metrics path, so the workers' series do not interleave.
         std::vector<std::string> env_strings;
         for (char **e = environ; *e; ++e) {
-            if (!hb_dir.empty() &&
-                std::strncmp(*e, "SMS_HEARTBEAT_DIR=", 18) == 0)
-                continue;
             if (metrics_env &&
                 std::strncmp(*e, "SMS_METRICS=", 12) == 0)
                 continue;
             env_strings.push_back(*e);
         }
-        if (!hb_dir.empty())
-            env_strings.push_back("SMS_HEARTBEAT_DIR=" + hb_dir);
-        if (metrics_env && *metrics_env) {
+        if (watch) {
             std::string mpath =
                 std::string(metrics_env) + ".shard" + std::to_string(i);
             std::remove(mpath.c_str());
             env_strings.push_back("SMS_METRICS=" + mpath);
+            series_paths.push_back(std::move(mpath));
         }
         std::vector<char *> child_env;
         for (std::string &s : env_strings)
@@ -717,10 +663,11 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
     }
 
     // Reap with WNOHANG instead of blocking: between polls the
-    // coordinator reads the heartbeat directory to report per-shard
-    // progress and flag workers that stopped heartbeating.
+    // coordinator reads the series tails to report per-shard progress
+    // and flag workers whose series stopped growing.
     const double stall_after =
-        std::max(5.0, 10.0 * metricsIntervalMsFromEnv() / 1000.0);
+        watch ? std::max(5.0, 10.0 * metricsIntervalMsFromEnv() / 1000.0)
+              : 0.0;
     std::vector<bool> reaped(workers, false);
     std::vector<bool> stall_warned(workers, false);
     uint32_t live = workers;
@@ -755,34 +702,29 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
             break;
 
         auto now = std::chrono::steady_clock::now();
-        if (!hb_dir.empty() &&
-            now - last_scan >= std::chrono::seconds(1)) {
+        if (watch && now - last_scan >= std::chrono::seconds(1)) {
             last_scan = now;
-            std::vector<HeartbeatView> views;
-            size_t skipped = 0;
-            std::string herr;
-            if (readHeartbeatDir(hb_dir, views, skipped, herr)) {
-                std::string line =
-                    heartbeatProgressLine(views, stall_after);
-                if (line != last_line) {
-                    std::printf("%s\n", line.c_str());
-                    std::fflush(stdout);
-                    last_line = line;
-                }
-                for (const HeartbeatView &v : views) {
-                    uint32_t idx = v.info.shard_index;
-                    if (idx < 1 || idx > workers)
-                        continue;
-                    bool stalled = !v.info.done &&
-                                   !reaped[idx - 1] &&
-                                   v.age_seconds > stall_after;
-                    if (stalled && !stall_warned[idx - 1])
-                        warn("shard worker %u/%u (pid %ld) has not "
-                             "heartbeat for %.0f s; it may be stalled",
-                             idx, workers, v.info.pid,
-                             v.age_seconds);
-                    stall_warned[idx - 1] = stalled;
-                }
+            std::string line = "shards:";
+            for (uint32_t i = 0; i < workers; ++i) {
+                MetricsTail tail;
+                std::string terr;
+                if (!readMetricsTail(series_paths[i], tail, terr))
+                    continue; // no complete sample yet
+                line += shardProgress(i + 1, tail, stall_after);
+                bool stalled = !tail.snapshot.done && !reaped[i] &&
+                               tail.age_seconds > stall_after;
+                if (stalled && !stall_warned[i])
+                    warn("shard worker %u/%u (pid %ld) has not written "
+                         "a metrics sample for %.0f s; it may be "
+                         "stalled",
+                         i + 1, workers, static_cast<long>(pids[i]),
+                         tail.age_seconds);
+                stall_warned[i] = stalled;
+            }
+            if (line != last_line) {
+                std::printf("%s\n", line.c_str());
+                std::fflush(stdout);
+                last_line = line;
             }
         }
         ::usleep(100000);
@@ -821,14 +763,6 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
     std::string err;
     if (!mergeShardRecords(records, merged, err))
         fatal("shard merge failed: %s", err.c_str());
-    // Fold the workers' final heartbeats into the merged throughput
-    // block (absent when telemetry was off, keeping the record
-    // byte-identical to pre-telemetry merges).
-    if (!hb_dir.empty()) {
-        JsonValue hb = heartbeatSummaryJson(hb_dir);
-        if (!hb.isNull())
-            merged["throughput"]["heartbeats"] = std::move(hb);
-    }
     if (!appendJsonLine(json_path, merged, err))
         fatal("merged record not written: %s", err.c_str());
     for (const std::string &wpath : worker_paths)

@@ -249,6 +249,12 @@ TraversalSim::laneStepStackless(uint32_t lane_id)
     uint32_t p = sl_parent_[lane_id];
     if (p == StacklessLinks::kNoParent)
         return LaneOutcome::Done;
+    // The parent is a node index read from the tape, which replay
+    // trusts once its checksum and fingerprint match.
+    SMS_ASSERT(p < links_->parent.size(),
+               "stackless tape backtracks to node %u, but the BVH has "
+               "%zu parent links",
+               p, links_->parent.size());
     // Backtrack to the parent, which the next step revisits.
     sl_cur_[lane_id] = ChildRef::makeInternal(p).bits();
     sl_parent_[lane_id] = links_->parent[p];

@@ -7,12 +7,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sys/stat.h>
 #include <thread>
+#include <time.h>
 #include <unistd.h>
 
 #include "src/stats/report.hpp"
@@ -38,7 +42,10 @@ struct MetricsState
     std::map<std::string, std::unique_ptr<MetricGauge>> gauges;
     std::map<std::string, std::unique_ptr<MetricHistogram>> histograms;
     std::vector<MetricsCollector> collectors;
-    std::vector<MetricsSampleHook> hooks;
+    // Stamped on every snapshot, under `mutex` like the registry.
+    uint32_t shard_index = 1;
+    uint32_t shard_count = 1;
+    bool done = false;
 
     // Sampler.
     std::thread sampler;
@@ -64,29 +71,20 @@ state()
     return *s; // sampler and atexit hooks may outlive static dtors
 }
 
-uint32_t
-intervalFromEnv()
-{
-    const char *env = std::getenv("SMS_METRICS_INTERVAL_MS");
-    if (!env || !*env)
-        return 250;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (!end || *end || v < 1 || v > 3600000) {
-        warn("SMS_METRICS_INTERVAL_MS='%s' is not an interval in "
-             "1..3600000 ms; using 250",
-             env);
-        return 250;
-    }
-    return static_cast<uint32_t>(v);
-}
-
-/** Take a snapshot (seq/wall stamped under the registry mutex). */
+/**
+ * Take a snapshot (seq/wall stamped under the registry mutex). With
+ * @p finish the sticky done flag is raised first, so the finishing
+ * flush is the first line that carries it.
+ */
 MetricsSnapshot
-takeSnapshot(MetricsState &s)
+takeSnapshot(MetricsState &s, bool finish = false)
 {
     MetricsSnapshot snap;
     std::lock_guard<std::mutex> lock(s.mutex);
+    s.done = s.done || finish;
+    snap.shard_index = s.shard_index;
+    snap.shard_count = s.shard_count;
+    snap.done = s.done;
     snap.seq = ++s.seq;
     ++s.samples;
     snap.wall_ms = std::chrono::duration<double, std::milli>(
@@ -112,29 +110,54 @@ takeSnapshot(MetricsState &s)
     return snap;
 }
 
-/** One sampler tick / forced flush: write the line, run the hooks. */
+/** One sampler tick / forced flush: take a snapshot, write its line. */
 void
-flushOnce(MetricsState &s)
+flushOnce(MetricsState &s, bool finish = false)
 {
     std::string path;
-    std::vector<MetricsSampleHook> hooks;
     {
         std::lock_guard<std::mutex> lock(s.sampler_mutex);
         path = s.config.path;
     }
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        hooks = s.hooks;
-    }
     std::lock_guard<std::mutex> flush_lock(s.flush_mutex);
-    MetricsSnapshot snap = takeSnapshot(s);
+    MetricsSnapshot snap = takeSnapshot(s, finish);
     if (!path.empty()) {
         std::string error;
         if (!appendJsonLine(path, toJson(snap), error))
             warn("metrics sample not written: %s", error.c_str());
     }
-    for (const MetricsSampleHook &hook : hooks)
-        hook(snap);
+}
+
+/** Flush if the sampler is configured and the gate is on. */
+void
+flushIfActive(bool finish)
+{
+    MetricsState &s = state();
+    {
+        std::lock_guard<std::mutex> lock(s.sampler_mutex);
+        if (!s.configured ||
+            detail::g_metrics_on.load(std::memory_order_relaxed) == 0)
+            return;
+    }
+    flushOnce(s, finish);
+}
+
+/** The shard identity of a series line: whole numbers with
+ *  1 <= index <= count < 2^32. False when absent or out of range. */
+bool
+shardOf(const JsonValue &line, uint32_t &index, uint32_t &count)
+{
+    const JsonValue *shard = line.find("shard");
+    if (!shard || !shard->isObject())
+        return false;
+    double i = shard->numberOr("index", 0);
+    double n = shard->numberOr("count", 0);
+    if (!(i >= 1 && i <= n && n < 4294967296.0) || i != std::floor(i) ||
+        n != std::floor(n))
+        return false;
+    index = static_cast<uint32_t>(i);
+    count = static_cast<uint32_t>(n);
+    return true;
 }
 
 void
@@ -281,26 +304,32 @@ metricsAddCollector(MetricsCollector collector)
 }
 
 void
-metricsAddSampleHook(MetricsSampleHook hook)
+metricsConfigure(const MetricsConfig &requested)
 {
-    MetricsState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.hooks.push_back(std::move(hook));
-}
-
-void
-metricsConfigure(const MetricsConfig &config)
-{
+    MetricsConfig config = requested;
+    if (config.interval_ms < 1)
+        config.interval_ms = 1;
+    if (config.shard_count < 1)
+        config.shard_index = config.shard_count = 1;
+    SMS_ASSERT(config.shard_index >= 1 &&
+                   config.shard_index <= config.shard_count,
+               "metrics shard identity %u/%u out of range",
+               config.shard_index, config.shard_count);
     MetricsState &s = state();
     std::unique_lock<std::mutex> lock(s.sampler_mutex);
     if (s.configured && s.sampler.joinable() &&
         s.config.path == config.path &&
-        s.config.interval_ms == config.interval_ms)
+        s.config.interval_ms == config.interval_ms &&
+        s.config.shard_index == config.shard_index &&
+        s.config.shard_count == config.shard_count)
         return;
     stopSamplerLocked(s, lock);
     s.config = config;
-    if (s.config.interval_ms < 1)
-        s.config.interval_ms = 1;
+    {
+        std::lock_guard<std::mutex> reg(s.mutex);
+        s.shard_index = config.shard_index;
+        s.shard_count = config.shard_count;
+    }
     if (!s.configured)
         s.epoch = Clock::now();
     s.configured = true;
@@ -314,7 +343,7 @@ metricsConfigure(const MetricsConfig &config)
 }
 
 void
-metricsInitFromEnv()
+metricsInitFromEnv(uint32_t shard_index, uint32_t shard_count)
 {
     MetricsState &s = state();
     {
@@ -328,31 +357,27 @@ metricsInitFromEnv()
         return;
     MetricsConfig config;
     config.path = path;
-    config.interval_ms = intervalFromEnv();
+    config.interval_ms = metricsIntervalMsFromEnv();
+    config.shard_index = shard_index;
+    config.shard_count = shard_count;
     metricsConfigure(config);
 }
 
-void
-metricsEnsureSampler()
+uint32_t
+metricsIntervalMsFromEnv()
 {
-    MetricsState &s = state();
-    {
-        std::lock_guard<std::mutex> lock(s.sampler_mutex);
-        if (s.configured && s.sampler.joinable())
-            return;
+    const char *env = std::getenv("SMS_METRICS_INTERVAL_MS");
+    if (!env || !*env)
+        return 250;
+    char *end = nullptr;
+    unsigned long v = std::strtoul(env, &end, 10);
+    if (!end || *end || v < 1 || v > 3600000) {
+        warn("SMS_METRICS_INTERVAL_MS='%s' is not an interval in "
+             "1..3600000 ms; using 250",
+             env);
+        return 250;
     }
-    MetricsConfig config;
-    config.interval_ms = intervalFromEnv();
-    metricsConfigure(config);
-}
-
-bool
-metricsActive()
-{
-    MetricsState &s = state();
-    std::lock_guard<std::mutex> lock(s.sampler_mutex);
-    return s.configured &&
-           detail::g_metrics_on.load(std::memory_order_relaxed) != 0;
+    return static_cast<uint32_t>(v);
 }
 
 MetricsStats
@@ -374,14 +399,13 @@ metricsStats()
 void
 metricsFlushNow()
 {
-    MetricsState &s = state();
-    {
-        std::lock_guard<std::mutex> lock(s.sampler_mutex);
-        if (!s.configured ||
-            detail::g_metrics_on.load(std::memory_order_relaxed) == 0)
-            return;
-    }
-    flushOnce(s);
+    flushIfActive(false);
+}
+
+void
+metricsFinish()
+{
+    flushIfActive(true);
 }
 
 void
@@ -412,9 +436,14 @@ toJson(const MetricsSnapshot &snapshot)
 {
     JsonValue line = JsonValue::object();
     line["schema"] = kMetricsSchema;
+    JsonValue shard = JsonValue::object();
+    shard["index"] = snapshot.shard_index;
+    shard["count"] = snapshot.shard_count;
+    line["shard"] = std::move(shard);
     line["pid"] = static_cast<long long>(snapshot.pid);
     line["seq"] = snapshot.seq;
     line["wall_ms"] = snapshot.wall_ms;
+    line["done"] = snapshot.done;
     JsonValue counters = JsonValue::object();
     for (const auto &c : snapshot.counters)
         counters[c.first] = c.second;
@@ -449,6 +478,8 @@ validateMetricsSeries(const std::vector<JsonValue> &lines,
         return false;
     }
     double pid = -1;
+    uint32_t shard_index = 0, shard_count = 0;
+    bool done = false;
     uint64_t last_seq = 0;
     double last_wall = -1.0;
     std::map<std::string, uint64_t> last_counters;
@@ -461,6 +492,18 @@ validateMetricsSeries(const std::vector<JsonValue> &lines,
             where("schema is not sms-metrics-1");
             return false;
         }
+        uint32_t index = 0, count = 0;
+        if (!shardOf(line, index, count)) {
+            where("shard identity is missing or out of range");
+            return false;
+        }
+        if (i == 0) {
+            shard_index = index;
+            shard_count = count;
+        } else if (index != shard_index || count != shard_count) {
+            where("shard identity changes within the series");
+            return false;
+        }
         double line_pid = line.numberOr("pid", -1);
         if (pid < 0)
             pid = line_pid;
@@ -469,6 +512,16 @@ validateMetricsSeries(const std::vector<JsonValue> &lines,
                   "must write distinct series)");
             return false;
         }
+        const JsonValue *line_done = line.find("done");
+        if (!line_done || !line_done->isBool()) {
+            where("done flag is missing");
+            return false;
+        }
+        if (done && !line_done->asBool()) {
+            where("done went from true back to false");
+            return false;
+        }
+        done = line_done->asBool();
         uint64_t seq =
             static_cast<uint64_t>(line.numberOr("seq", 0));
         if (seq <= last_seq && i > 0) {
@@ -510,6 +563,78 @@ validateMetricsSeries(const std::vector<JsonValue> &lines,
             last_counters[m.first] = v;
         }
     }
+    return true;
+}
+
+bool
+readMetricsTail(const std::string &path, MetricsTail &tail,
+                std::string &error)
+{
+    std::ifstream in(path, std::ios::binary);
+    struct stat st;
+    if (!in || ::stat(path.c_str(), &st) != 0) {
+        error = strprintf("%s: cannot open", path.c_str());
+        return false;
+    }
+    // Read a window at the end of the file, doubling it until it holds
+    // the last newline-terminated line whole. Text after the final
+    // newline is a write in progress (or a torn one) and is skipped.
+    const size_t size = static_cast<size_t>(st.st_size);
+    std::string text;
+    bool found = false;
+    for (size_t want = 4096; !found; want *= 2) {
+        size_t n = std::min(want, size);
+        std::string buf(n, '\0');
+        in.seekg(static_cast<std::streamoff>(size - n));
+        if (!in.read(&buf[0], static_cast<std::streamsize>(n))) {
+            error = strprintf("%s: short read", path.c_str());
+            return false;
+        }
+        size_t nl = buf.rfind('\n');
+        size_t prev = nl == std::string::npos || nl == 0
+                          ? std::string::npos
+                          : buf.rfind('\n', nl - 1);
+        if (nl != std::string::npos &&
+            (prev != std::string::npos || n == size)) {
+            size_t start = prev == std::string::npos ? 0 : prev + 1;
+            text = buf.substr(start, nl - start);
+            found = true;
+        } else if (n == size) {
+            break;
+        }
+    }
+    if (!found) {
+        error = strprintf("%s: no complete line yet", path.c_str());
+        return false;
+    }
+
+    // The last line must pass as a one-line series on its own.
+    std::vector<JsonValue> lines(1);
+    if (!JsonValue::parse(text, lines[0], error) ||
+        !validateMetricsSeries(lines, error)) {
+        error = strprintf("%s: last complete line is not a valid "
+                          "sample (%s)",
+                          path.c_str(), error.c_str());
+        return false;
+    }
+    const JsonValue &line = lines[0];
+    MetricsSnapshot &snap = tail.snapshot;
+    snap = MetricsSnapshot{};
+    shardOf(line, snap.shard_index, snap.shard_count);
+    snap.pid = static_cast<long>(line.numberOr("pid", 0));
+    snap.seq = line.find("seq")->asU64();
+    snap.wall_ms = line.find("wall_ms")->asNumber();
+    snap.done = line.find("done")->asBool();
+    for (const auto &m : line.find("counters")->members())
+        snap.counters.emplace_back(m.first, m.second.asU64());
+    std::sort(snap.counters.begin(), snap.counters.end());
+
+    struct timespec now;
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    double age = static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
+                 static_cast<double>(now.tv_nsec - st.st_mtim.tv_nsec) *
+                     1e-9;
+    tail.age_seconds = age > 0.0 ? age : 0.0;
     return true;
 }
 

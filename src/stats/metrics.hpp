@@ -13,9 +13,9 @@
  *
  * Cost model mirrors the timeline tracer: every emission site is
  * guarded by metricsOn(), a relaxed atomic load. With telemetry off
- * (SMS_METRICS and SMS_HEARTBEAT_DIR both unset) that load is the
- * entire cost and no counter is ever written, so the simulator's hot
- * loops and the golden bench records are untouched.
+ * (SMS_METRICS unset) that load is the entire cost and no counter is
+ * ever written, so the simulator's hot loops and the golden bench
+ * records are untouched.
  *
  * Two publication styles share the registry:
  *  - push: instrumented sites hold a `static MetricCounter &` from
@@ -27,10 +27,13 @@
  *    hot paths of those layers stay completely untouched.
  *
  * The sampler thread wakes every SMS_METRICS_INTERVAL_MS, takes a
- * snapshot, appends one JSONL line to SMS_METRICS (when set) and runs
- * the registered sample hooks (the per-shard heartbeat writer in
- * src/serve/heartbeat.cpp is one). Snapshots are also taken
- * synchronously by metricsFlushNow() for final-state flushes.
+ * snapshot and appends one JSONL line to SMS_METRICS. Snapshots are
+ * also taken synchronously by metricsFlushNow() and metricsFinish().
+ * Every line carries the writer's shard identity (1/1 when unsharded)
+ * and a sticky `done` flag that metricsFinish() raises, so the last
+ * line of a series is a complete progress report: watchers
+ * (the --shard-workers coordinator, tools/sweep_top) read it with
+ * readMetricsTail() and judge staleness by the file's mtime.
  */
 
 #ifndef SMS_STATS_METRICS_HPP
@@ -173,9 +176,12 @@ MetricHistogram &metricHistogram(const std::string &name,
 /** One point-in-time view of the whole registry. */
 struct MetricsSnapshot
 {
+    uint32_t shard_index = 1; ///< 1-based; 1/1 when unsharded
+    uint32_t shard_count = 1;
     uint64_t seq = 0;    ///< strictly increasing per process
     double wall_ms = 0;  ///< since the sampler was configured
     long pid = 0;
+    bool done = false;   ///< set by metricsFinish(), never cleared
     /** Counter values, sorted by name. */
     std::vector<std::pair<std::string, uint64_t>> counters;
     /** Gauge values, sorted by name. */
@@ -204,13 +210,6 @@ using MetricsCollector =
                            &sink)>;
 void metricsAddCollector(MetricsCollector collector);
 
-/**
- * A sample hook: called by the sampler (and metricsFlushNow) with each
- * finished snapshot. The heartbeat writer registers one.
- */
-using MetricsSampleHook = std::function<void(const MetricsSnapshot &)>;
-void metricsAddSampleHook(MetricsSampleHook hook);
-
 /** Sampler configuration (programmatic alternative to SMS_METRICS). */
 struct MetricsConfig
 {
@@ -218,31 +217,31 @@ struct MetricsConfig
     std::string path;
     /** Sampler period in milliseconds. */
     uint32_t interval_ms = 250;
+    /** Shard identity stamped on every line; a count of 0 means 1/1. */
+    uint32_t shard_index = 1;
+    uint32_t shard_count = 1;
 };
 
 /**
  * Enable telemetry and start the sampler thread. Idempotent for an
- * identical config; a different path/interval restarts the sampler.
+ * identical config; any other config restarts the sampler.
  */
 void metricsConfigure(const MetricsConfig &config);
 
 /**
  * Read SMS_METRICS / SMS_METRICS_INTERVAL_MS and configure the
- * sampler accordingly. Idempotent: only the first call acts. Does
- * nothing when SMS_METRICS is unset (the heartbeat layer calls
- * metricsEnsureSampler() instead when only SMS_HEARTBEAT_DIR is set).
+ * sampler accordingly, stamping lines with the caller's shard
+ * identity (the bench layer passes its SweepShardSpec; an inactive
+ * 0/0 identity is written as 1/1). Idempotent: only the first call
+ * acts. Does nothing when SMS_METRICS is unset.
  */
-void metricsInitFromEnv();
+void metricsInitFromEnv(uint32_t shard_index, uint32_t shard_count);
 
 /**
- * Start the sampler without an export path if it is not already
- * running (heartbeat-only telemetry). Uses the SMS_METRICS_INTERVAL_MS
- * period.
+ * The sampler period SMS_METRICS_INTERVAL_MS asks for: an integer in
+ * 1..3600000 ms, else a warning and the 250 ms default.
  */
-void metricsEnsureSampler();
-
-/** Is a sampler configured (telemetry gate on)? */
-bool metricsActive();
+uint32_t metricsIntervalMsFromEnv();
 
 /** The configured sampler state, for the bench throughput block. */
 struct MetricsStats
@@ -255,11 +254,18 @@ struct MetricsStats
 MetricsStats metricsStats();
 
 /**
- * Take one snapshot immediately: append a JSONL line (when a path is
- * configured) and run the sample hooks. Used for the final flush so
- * the last line / heartbeat reflects the finished run.
+ * Take one snapshot immediately and append its JSONL line (when a path
+ * is configured). No-op while the sampler is not configured.
  */
 void metricsFlushNow();
+
+/**
+ * Mark this process's run finished and flush: the line this writes and
+ * every later one carry `done: true`. A process that exits without
+ * calling it (fatal(), a kill) ends its series with `done: false`.
+ * No-op while the sampler is not configured.
+ */
+void metricsFinish();
 
 /**
  * Stop the sampler, run one final flush, and turn the gate off.
@@ -276,14 +282,37 @@ JsonValue toJson(const MetricsSnapshot &snapshot);
 
 /**
  * Validate a parsed sms-metrics-1 series: every line carries the
- * schema, seq is strictly increasing, wall_ms is non-decreasing, and
- * every counter is monotonic non-decreasing line-over-line. Lines
- * from different pids form independent series and must not be mixed
- * in one file. @return false with @p error set on the first
+ * schema and one in-range shard identity, seq is strictly increasing,
+ * wall_ms is non-decreasing, `done` never goes from true back to
+ * false, and every counter is monotonic non-decreasing line-over-line.
+ * Lines from different pids form independent series and must not be
+ * mixed in one file. @return false with @p error set on the first
  * violation.
  */
 bool validateMetricsSeries(const std::vector<JsonValue> &lines,
                            std::string &error);
+
+/** The newest complete line of a series file, and how stale it is. */
+struct MetricsTail
+{
+    /** Shard, pid, seq, wall_ms, done and counters (no gauges or
+     *  histograms). */
+    MetricsSnapshot snapshot;
+    double age_seconds = 0; ///< now - file mtime at read time
+};
+
+/**
+ * Read the last complete line of the sms-metrics-1 series at @p path,
+ * scanning backwards from the end of the file rather than reading the
+ * whole series. Text after the final newline is a write in progress
+ * (or a torn one) and is skipped. @return false with @p error set when
+ * the file is missing or unreadable, holds no complete line, or its
+ * last complete line is not JSON or fails validateMetricsSeries() as a
+ * one-line series (another schema, an out-of-range shard identity, a
+ * missing field).
+ */
+bool readMetricsTail(const std::string &path, MetricsTail &tail,
+                     std::string &error);
 
 } // namespace sms
 

@@ -4,11 +4,14 @@
  * (no counter moves while telemetry is off), registry identity,
  * exact sums under concurrent increments, histogram bucket
  * boundaries, the sms-metrics-1 JSONL series written by the sampler,
- * and the series validator's rejection cases.
+ * the series validator's rejection cases, and the series-tail reader
+ * that live watchers use.
  *
- * Ordering matters: the telemetry gate is process-wide and sticky, so
- * the gated-off expectations run first (gtest executes tests in
- * registration order) before any test configures the sampler.
+ * Ordering matters: the telemetry gate and the done flag are
+ * process-wide and sticky, so the gated-off expectations run first
+ * (gtest executes tests in registration order) before any test
+ * configures the sampler, and metricsFinish() runs after every test
+ * that expects `done: false`.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +19,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "src/stats/metrics.hpp"
@@ -77,7 +82,7 @@ class MetricsOnTest : public ::testing::Test
         config.interval_ms = 3600000; // effectively manual-flush only
         metricsConfigure(config);
         ASSERT_TRUE(metricsOn());
-        ASSERT_TRUE(metricsActive());
+        ASSERT_TRUE(metricsStats().enabled);
     }
 };
 
@@ -181,20 +186,48 @@ TEST_F(MetricsOnTest, SamplerWritesValidSeries)
     metricsConfigure(quiet);
 }
 
+/** One hand-built series line: shard 1/2, not done, counter `c`. */
+JsonValue
+sample(uint64_t seq, double wall, long pid, uint64_t counter)
+{
+    JsonValue line = JsonValue::object();
+    line["schema"] = kMetricsSchema;
+    JsonValue shard = JsonValue::object();
+    shard["index"] = 1;
+    shard["count"] = 2;
+    line["shard"] = std::move(shard);
+    line["pid"] = static_cast<long long>(pid);
+    line["seq"] = seq;
+    line["wall_ms"] = wall;
+    line["done"] = false;
+    JsonValue counters = JsonValue::object();
+    counters["c"] = counter;
+    line["counters"] = std::move(counters);
+    return line;
+}
+
+/** Write @p text verbatim to a fresh scratch file; returns its path. */
+std::string
+writeScratch(const std::string &name, const std::string &text)
+{
+    std::string path = ::testing::TempDir() + name;
+    std::ofstream(path, std::ios::trunc) << text;
+    return path;
+}
+
+/** Read the tail of @p path, failing the test when it is rejected. */
+MetricsSnapshot
+tailOf(const std::string &path)
+{
+    MetricsTail tail;
+    std::string error;
+    EXPECT_TRUE(readMetricsTail(path, tail, error)) << error;
+    EXPECT_GE(tail.age_seconds, 0.0);
+    return tail.snapshot;
+}
+
 TEST_F(MetricsOnTest, ValidatorRejectsBrokenSeries)
 {
-    auto sample = [](uint64_t seq, double wall, long pid,
-                     uint64_t counter) {
-        JsonValue line = JsonValue::object();
-        line["schema"] = kMetricsSchema;
-        line["pid"] = static_cast<long long>(pid);
-        line["seq"] = seq;
-        line["wall_ms"] = wall;
-        JsonValue counters = JsonValue::object();
-        counters["c"] = counter;
-        line["counters"] = std::move(counters);
-        return line;
-    };
     std::string error;
 
     std::vector<JsonValue> ok = {sample(1, 0.0, 42, 5),
@@ -228,6 +261,170 @@ TEST_F(MetricsOnTest, ValidatorRejectsBrokenSeries)
                                            sample(2, 1.0, 42, 5)};
     EXPECT_FALSE(validateMetricsSeries(counter_back, error));
     EXPECT_NE(error.find("backwards"), std::string::npos);
+
+    std::vector<JsonValue> shard_moves = {sample(1, 0.0, 42, 5),
+                                          sample(2, 1.0, 42, 9)};
+    shard_moves[1]["shard"]["index"] = 2;
+    EXPECT_FALSE(validateMetricsSeries(shard_moves, error));
+    EXPECT_NE(error.find("shard identity changes"), std::string::npos);
+
+    std::vector<JsonValue> bad_shard = {sample(1, 0.0, 42, 5)};
+    bad_shard[0]["shard"]["index"] = 3;
+    EXPECT_FALSE(validateMetricsSeries(bad_shard, error));
+    EXPECT_NE(error.find("out of range"), std::string::npos);
+
+    std::vector<JsonValue> undone = {sample(1, 0.0, 42, 5),
+                                     sample(2, 1.0, 42, 9)};
+    undone[0]["done"] = true;
+    EXPECT_FALSE(validateMetricsSeries(undone, error));
+    EXPECT_NE(error.find("done went from true"), std::string::npos);
+
+    std::vector<JsonValue> stays_done = {sample(1, 0.0, 42, 5),
+                                         sample(2, 1.0, 42, 9)};
+    stays_done[0]["done"] = true;
+    stays_done[1]["done"] = true;
+    EXPECT_TRUE(validateMetricsSeries(stays_done, error)) << error;
+}
+
+TEST_F(MetricsOnTest, TailRoundTripsTheLastLine)
+{
+    std::string path = ::testing::TempDir() + "metrics_tail_rt.jsonl";
+    std::remove(path.c_str());
+    MetricsConfig config;
+    config.path = path;
+    config.interval_ms = 3600000;
+    config.shard_index = 2;
+    config.shard_count = 4;
+    metricsConfigure(config);
+    metricCounter("test.tail_counter").add(7);
+    metricsFlushNow();
+    metricsFlushNow();
+
+    std::vector<JsonValue> lines;
+    std::string error;
+    ASSERT_TRUE(readJsonLines(path, lines, error)) << error;
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_TRUE(validateMetricsSeries(lines, error)) << error;
+    const JsonValue &last = lines.back();
+
+    MetricsSnapshot tail = tailOf(path);
+    EXPECT_EQ(tail.shard_index, 2u);
+    EXPECT_EQ(tail.shard_count, 4u);
+    EXPECT_EQ(tail.pid, static_cast<long>(::getpid()));
+    EXPECT_EQ(tail.seq, last.find("seq")->asU64());
+    EXPECT_EQ(tail.wall_ms, last.find("wall_ms")->asNumber());
+    EXPECT_FALSE(tail.done);
+    EXPECT_EQ(tail.counterOr("test.tail_counter", 0), 7u);
+    EXPECT_EQ(tail.counters.size(),
+              last.find("counters")->members().size());
+    std::remove(path.c_str());
+
+    MetricsConfig quiet;
+    quiet.interval_ms = 3600000;
+    metricsConfigure(quiet);
+}
+
+TEST(MetricsTail, UnterminatedLineIsSkipped)
+{
+    auto line = [](uint64_t seq, size_t counters) {
+        JsonValue l = sample(seq, static_cast<double>(seq), 42, seq);
+        for (size_t i = 0; i < counters; ++i)
+            l["counters"]["test.pad_" + std::to_string(i)] = i;
+        return l.dump(0) + "\n";
+    };
+    // A valid but unterminated line is still a write in progress. The
+    // second line outgrows the first read window, and so does the only
+    // line of the second file.
+    std::string text = line(1, 0) + line(2, 500) + line(3, 0);
+    text.pop_back();
+    MetricsSnapshot tail = tailOf(writeScratch("tail_torn.jsonl", text));
+    EXPECT_EQ(tail.seq, 2u);
+    EXPECT_EQ(tail.counters.size(), 501u);
+
+    tail = tailOf(writeScratch("tail_single.jsonl", line(1, 500)));
+    EXPECT_EQ(tail.seq, 1u);
+    EXPECT_EQ(tail.shard_index, 1u);
+    EXPECT_EQ(tail.shard_count, 2u);
+}
+
+TEST(MetricsTail, RejectsWhatIsNotASeriesTail)
+{
+    MetricsTail tail;
+    std::string error;
+    std::string complete = sample(1, 0.0, 42, 5).dump(0) + "\n";
+
+    std::string torn = complete.substr(0, complete.size() / 2);
+    EXPECT_FALSE(readMetricsTail(writeScratch("tail_only_torn.jsonl", torn),
+                                 tail, error));
+    EXPECT_NE(error.find("no complete line"), std::string::npos);
+
+    JsonValue foreign = sample(2, 1.0, 42, 5);
+    foreign["schema"] = "sms-bench-1";
+    EXPECT_FALSE(readMetricsTail(
+        writeScratch("tail_foreign.jsonl", complete + foreign.dump(0) + "\n"),
+        tail, error));
+    EXPECT_NE(error.find("schema"), std::string::npos);
+
+    JsonValue bad_shard = sample(2, 1.0, 42, 5);
+    bad_shard["shard"]["index"] = 5;
+    EXPECT_FALSE(readMetricsTail(
+        writeScratch("tail_shard.jsonl",
+                     complete + bad_shard.dump(0) + "\n"),
+        tail, error));
+    EXPECT_NE(error.find("out of range"), std::string::npos);
+
+    EXPECT_FALSE(readMetricsTail(::testing::TempDir() + "tail_missing",
+                                 tail, error));
+}
+
+// The done flag is sticky for the process, so the test that never
+// finishes runs before the one that does.
+TEST_F(MetricsOnTest, ShutdownWithoutFinishLeavesDoneFalse)
+{
+    std::string path = ::testing::TempDir() + "metrics_no_finish.jsonl";
+    std::remove(path.c_str());
+    MetricsConfig config;
+    config.path = path;
+    config.interval_ms = 3600000;
+    metricsConfigure(config);
+    metricsShutdown(); // the final flush of a worker that died in fatal()
+    EXPECT_FALSE(metricsOn());
+    EXPECT_FALSE(tailOf(path).done);
+    std::remove(path.c_str());
+}
+
+TEST_F(MetricsOnTest, FinishLeavesDoneTailWithAllCells)
+{
+    std::string path = ::testing::TempDir() + "metrics_finish.jsonl";
+    std::remove(path.c_str());
+    MetricsConfig config;
+    config.path = path;
+    config.interval_ms = 3600000;
+    metricsConfigure(config);
+    metricCounter("sweep.cells_owned").add(3);
+    for (int cell = 0; cell < 3; ++cell) {
+        metricCounter("sweep.cells_done").add(1);
+        metricsFlushNow();
+    }
+    EXPECT_FALSE(tailOf(path).done);
+
+    metricsFinish();
+    MetricsSnapshot tail = tailOf(path);
+    EXPECT_TRUE(tail.done);
+    EXPECT_EQ(tail.counterOr("sweep.cells_owned", 0), 3u);
+    EXPECT_EQ(tail.counterOr("sweep.cells_done", 0), 3u);
+
+    // Sticky: the later flushes (sampler ticks, the exit flush) stay
+    // done, and the whole series validates.
+    metricsFlushNow();
+    metricsShutdown();
+    EXPECT_TRUE(tailOf(path).done);
+    std::vector<JsonValue> lines;
+    std::string error;
+    ASSERT_TRUE(readJsonLines(path, lines, error)) << error;
+    EXPECT_EQ(lines.size(), 6u);
+    EXPECT_TRUE(validateMetricsSeries(lines, error)) << error;
+    std::remove(path.c_str());
 }
 
 } // namespace

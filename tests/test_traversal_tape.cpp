@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "src/sim/traversal_sim.hpp"
 #include "src/sim/traversal_tape.hpp"
 #include "src/stats/report.hpp"
 #include "src/trace/render.hpp"
@@ -147,6 +148,45 @@ TEST(TraversalTape, FetchLineWithUnknownTrafficClassIsRejected)
     uint32_t max_prims = 0;
     EXPECT_DEATH(cursor.fetchPhase(got, has_internal, has_leaf, max_prims),
                  "traffic class 3");
+}
+
+TEST(TraversalTape, StacklessBacktrackToUnknownNodeIsRejected)
+{
+    // Replay trusts a tape once its checksum and fingerprint match. A
+    // one-lane stackless tape whose root descends into internal node
+    // 0x3fffffff, which descends into a leaf that finishes, must stop
+    // replay when the lane backtracks to that node, not index the
+    // parent links with it.
+    auto w = tinyWorkload(SceneId::REF);
+    GpuConfig config = GpuConfig::tableI();
+    config.traversal_arch = TraversalArchConfig::stackless();
+    StacklessLinks links = StacklessLinks::build(w->bvh);
+    MemorySystem mem(config.resolvedMemConfig(), config.num_sms);
+    SharedMemory shared(config.shared_latency);
+    WarpJob job;
+    job.active[0] = true;
+
+    JobTape tape;
+    TapeWriter writer(&tape);
+    uint64_t far_node = ChildRef::makeInternal(0x3fffffff).stackValue();
+    uint64_t leaf = ChildRef::makeLeaf(0, 1).stackValue();
+    writer.fetchPhase({}, true, false, 0);
+    writer.internalVisit(6, &far_node, 1);
+    writer.fetchPhase({}, true, false, 0);
+    writer.internalVisit(6, &leaf, 1);
+    writer.fetchPhase({}, false, true, 1);
+    writer.leafVisit(1, false);
+
+    TraversalSim sim(w->bvh, config, job, tape, 0, 0, 0x100000000ull, mem,
+                     shared, nullptr, nullptr, &links);
+    EXPECT_DEATH(
+        {
+            Cycle now = 0;
+            while (!sim.done())
+                now = sim.stepStack(sim.stepFetch(now));
+        },
+        "backtracks to node 1073741823, but the BVH has [0-9]+ parent "
+        "links");
 }
 
 TEST(TraversalTape, LaneActionRoundTrip)

@@ -6,8 +6,7 @@
  * output JSONL file.
  *
  * Usage:
- *   sweep_merge --out <merged.json> [--heartbeats <dir>]
- *               <shard1.json> ... <shardN.json>
+ *   sweep_merge --out <merged.json> <shard1.json> ... <shardN.json>
  *
  * The LAST record of each input file is merged (the most recent run).
  * The merge validates that every shard 1..N is present exactly once,
@@ -17,13 +16,9 @@
  * the conservation invariant re-checked), and combines the throughput
  * blocks. The bench coordinator (--shard-workers=N) does the same
  * in-process; this tool covers workers launched by hand or by a
- * cluster scheduler.
- *
- * --heartbeats <dir> folds the final sms-heartbeat-1 files of the
- * workers' SMS_HEARTBEAT_DIR into the merged record's throughput block
- * (a "heartbeats" summary: per-shard cells done/owned, wall seconds,
- * and a completeness flag), matching what the in-bench coordinator
- * emits.
+ * cluster scheduler. A successful merge already proves every shard
+ * covered its cells exactly once; live progress lives in the workers'
+ * sms-metrics-1 series (tools/sweep_top).
  *
  * Exit codes: 0 = merged record appended, 1 = merge rejected
  * (incomplete/overlapping shards, conservation violation), 2 = usage
@@ -35,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "src/serve/heartbeat.hpp"
 #include "src/serve/sweep_shard.hpp"
 #include "src/stats/report.hpp"
 
@@ -45,32 +39,22 @@ int
 main(int argc, char **argv)
 {
     std::string out_path;
-    std::string hb_dir;
     std::vector<const char *> inputs;
+    bool bad_flag = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
             out_path = argv[++i];
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
+        else if (std::strncmp(argv[i], "--out=", 6) == 0)
             out_path = argv[i] + 6;
-        } else if (std::strcmp(argv[i], "--heartbeats") == 0 &&
-                   i + 1 < argc) {
-            hb_dir = argv[++i];
-        } else if (std::strncmp(argv[i], "--heartbeats=", 13) == 0) {
-            hb_dir = argv[i] + 13;
-        } else if (std::strncmp(argv[i], "--", 2) == 0) {
-            std::fprintf(stderr,
-                         "usage: %s --out <merged.json> [--heartbeats "
-                         "<dir>] <shard1.json> ... <shardN.json>\n",
-                         argv[0]);
-            return 2;
-        } else {
+        else if (std::strncmp(argv[i], "--", 2) == 0)
+            bad_flag = true;
+        else
             inputs.push_back(argv[i]);
-        }
     }
-    if (out_path.empty() || inputs.empty()) {
+    if (bad_flag || out_path.empty() || inputs.empty()) {
         std::fprintf(stderr,
-                     "usage: %s --out <merged.json> [--heartbeats "
-                     "<dir>] <shard1.json> ... <shardN.json>\n",
+                     "usage: %s --out <merged.json> <shard1.json> ... "
+                     "<shardN.json>\n",
                      argv[0]);
         return 2;
     }
@@ -97,16 +81,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "sweep_merge: merge rejected: %s\n",
                      error.c_str());
         return 1;
-    }
-    if (!hb_dir.empty()) {
-        JsonValue hb = heartbeatSummaryJson(hb_dir);
-        if (hb.isNull()) {
-            std::fprintf(stderr,
-                         "sweep_merge: %s: no readable heartbeats\n",
-                         hb_dir.c_str());
-            return 2;
-        }
-        merged["throughput"]["heartbeats"] = std::move(hb);
     }
     if (!appendJsonLine(out_path, merged, error)) {
         std::fprintf(stderr, "sweep_merge: %s: %s\n", out_path.c_str(),

@@ -1,44 +1,50 @@
 /**
  * @file
- * sweep_top — live (or one-shot) monitor over the per-shard heartbeat
- * files a sharded sweep writes under SMS_HEARTBEAT_DIR (see
- * src/serve/heartbeat.hpp). Renders one row per shard: a progress bar
- * over cells done/owned, the simulated-cycle rate from the heartbeat's
- * counter snapshot, the heartbeat age, and a STALLED flag when a shard
- * stopped refreshing its file.
+ * sweep_top — live (or one-shot) monitor over the sms-metrics-1 series
+ * of a sweep's workers (SMS_METRICS; a --shard-workers run writes
+ * <path>.shard<i> per worker). Renders one row per series file from
+ * its last complete line (readMetricsTail, src/stats/metrics.hpp): a
+ * progress bar over the sweep.cells_done / sweep.cells_owned counters,
+ * the simulated-cycle rate, the file's age, and a STALLED flag when a
+ * worker stopped appending samples.
  *
  * Usage:
- *   sweep_top <hb-dir> [--once] [--interval-ms N] [--stall-seconds S]
- *             [--expect-shards N] [--require-complete]
- *             [--check-metrics FILE]...
+ *   sweep_top <series>... [--once] [--interval-ms N]
+ *             [--stall-seconds S] [--expect-shards N]
+ *             [--require-complete]
  *
  * Modes:
  *  - live (default): redraw every --interval-ms (1000) until every
  *    expected shard reports done with all owned cells finished, then
- *    exit 0. Works post-mortem too — nothing deletes heartbeats, so
- *    pointing it at a finished run's directory shows the final state.
+ *    exit. Works post-mortem too — nothing deletes the series, so
+ *    pointing it at a finished run shows the final state.
  *  - --once: render a single snapshot and exit immediately; with
  *    --require-complete the exit code asserts the run finished. This
  *    is the CI form.
  *
- * --check-metrics FILE (repeatable) additionally validates FILE as an
- * sms-metrics-1 JSONL series (schema tag on every line, single pid,
- * strictly increasing seq, non-decreasing wall clock, monotonic
- * counters) and fails the run on the first violation.
+ * A named file that does not exist yet shows as waiting. The run is
+ * complete when shards 1..N (N from --expect-shards, else the first
+ * readable series) each appear exactly once, done, with every owned
+ * cell finished. --require-complete additionally validates each series
+ * in full (validateMetricsSeries: schema, one shard identity and pid,
+ * strictly increasing seq, non-decreasing wall clock, sticky done,
+ * monotonic counters).
  *
- * Exit codes: 0 = ok (complete when completeness was required),
- * 1 = incomplete/stalled shards or an invalid metrics series,
- * 2 = usage or I/O error.
+ * Exit codes: 0 = ok (complete and valid when completeness was
+ * required), 1 = incomplete/stalled shards or an invalid series,
+ * 2 = usage error.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <sys/stat.h>
 #include <unistd.h>
 #include <vector>
 
-#include "src/serve/heartbeat.hpp"
 #include "src/stats/metrics.hpp"
 #include "src/stats/report.hpp"
 
@@ -48,13 +54,12 @@ namespace {
 
 struct Options
 {
-    std::string dir;
+    std::vector<std::string> series;
     bool once = false;
     bool require_complete = false;
     uint32_t interval_ms = 1000;
     double stall_seconds = 5.0;
-    uint32_t expect_shards = 0; ///< 0 = whatever the directory holds
-    std::vector<std::string> metrics_files;
+    uint32_t expect_shards = 0; ///< 0 = the count the series report
 };
 
 int
@@ -62,9 +67,9 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s <hb-dir> [--once] [--interval-ms N]\n"
+        "usage: %s <series>... [--once] [--interval-ms N]\n"
         "          [--stall-seconds S] [--expect-shards N]\n"
-        "          [--require-complete] [--check-metrics FILE]...\n",
+        "          [--require-complete]\n",
         argv0);
     return 2;
 }
@@ -77,6 +82,19 @@ parseU32(const char *s, uint32_t &out)
     if (!end || *end || v < 1 || v > 3600000)
         return false;
     out = static_cast<uint32_t>(v);
+    return true;
+}
+
+/** A finite number of seconds > 0. */
+bool
+parseSeconds(const char *s, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(s, &end);
+    if (end == s || *end || errno != 0 || !std::isfinite(v) || v <= 0.0)
+        return false;
+    out = v;
     return true;
 }
 
@@ -96,110 +114,91 @@ humanRate(double v)
     return buf;
 }
 
-/** All expected shards present, done, and fully swept? */
+/** Render one snapshot of every series; true when the run completed. */
 bool
-runComplete(const std::vector<HeartbeatView> &views,
-            uint32_t expect_shards)
+render(const Options &opt, bool clear_screen)
 {
-    if (views.empty())
-        return false;
-    uint32_t want = expect_shards;
-    if (want == 0)
-        want = views[0].info.shard_count;
-    std::vector<bool> seen(want, false);
-    for (const HeartbeatView &v : views) {
-        if (v.info.shard_index < 1 || v.info.shard_index > want)
-            return false;
-        seen[v.info.shard_index - 1] = true;
-        if (!v.info.done || v.info.cells_done < v.info.cells_owned)
-            return false;
-    }
-    for (bool s : seen)
-        if (!s)
-            return false;
-    return true;
-}
-
-/** Render one snapshot of the directory; true when the run completed. */
-bool
-render(const Options &opt, bool clear_screen, bool &io_error)
-{
-    std::vector<HeartbeatView> views;
-    size_t skipped = 0;
-    std::string error;
-    io_error = false;
-    if (!readHeartbeatDir(opt.dir, views, skipped, error)) {
-        std::fprintf(stderr, "sweep_top: %s: %s\n", opt.dir.c_str(),
-                     error.c_str());
-        io_error = true;
-        return false;
-    }
     if (clear_screen)
         std::printf("\033[H\033[2J");
-    if (views.empty()) {
-        std::printf("no heartbeats in %s yet (%zu unreadable)\n",
-                    opt.dir.c_str(), skipped);
-        std::fflush(stdout);
-        return false;
-    }
     std::printf("%-6s %-8s %-22s %13s %6s %9s %6s  %s\n", "shard",
                 "pid", "progress", "cells", "%", "cyc/s", "age",
                 "state");
-    for (const HeartbeatView &v : views) {
-        double p = v.info.progress();
+    bool complete = true;
+    uint32_t want = opt.expect_shards;
+    std::vector<bool> seen;
+    for (const std::string &path : opt.series) {
+        MetricsTail tail;
+        std::string error;
+        struct stat st;
+        if (::stat(path.c_str(), &st) != 0 && errno == ENOENT) {
+            std::printf("%-6s %-8s waiting for %s\n", "-", "-",
+                        path.c_str());
+            complete = false;
+            continue;
+        }
+        if (!readMetricsTail(path, tail, error)) {
+            std::printf("%-6s %-8s unreadable: %s\n", "-", "-",
+                        error.c_str());
+            complete = false;
+            continue;
+        }
+        const MetricsSnapshot &snap = tail.snapshot;
+        uint64_t owned = snap.counterOr("sweep.cells_owned", 0);
+        uint64_t done = snap.counterOr("sweep.cells_done", 0);
+        double p = owned ? static_cast<double>(done) / owned
+                         : (snap.done ? 1.0 : 0.0);
         int fill = static_cast<int>(p * 20.0 + 0.5);
         fill = fill < 0 ? 0 : fill > 20 ? 20 : fill;
-        char bar[24];
+        char bar[48]; // 22 used; sized for the compiler's bound
         std::snprintf(bar, sizeof bar, "[%.*s%.*s]", fill,
                       "####################", 20 - fill,
                       "....................");
-        double cycles =
-            v.info.counters.numberOr("sim.cycles_retired", 0.0);
-        double rate = v.info.wall_seconds > 0.0
-                          ? cycles / v.info.wall_seconds
-                          : 0.0;
+        double cycles = static_cast<double>(
+            snap.counterOr("sim.cycles_retired", 0));
+        double rate = snap.wall_ms > 0.0 ? cycles / (snap.wall_ms / 1e3)
+                                         : 0.0;
         const char *state =
-            v.info.done ? "done"
-            : v.age_seconds > opt.stall_seconds ? "STALLED"
-                                                : "running";
+            snap.done ? "done"
+            : tail.age_seconds > opt.stall_seconds ? "STALLED"
+                                                   : "running";
         std::printf("%2u/%-3u %-8ld %-22s %5llu/%-7llu %5.1f %9s "
                     "%5.1fs  %s\n",
-                    v.info.shard_index, v.info.shard_count, v.info.pid,
-                    bar,
-                    static_cast<unsigned long long>(v.info.cells_done),
-                    static_cast<unsigned long long>(v.info.cells_owned),
-                    100.0 * p, humanRate(rate).c_str(), v.age_seconds,
-                    state);
+                    snap.shard_index, snap.shard_count, snap.pid, bar,
+                    static_cast<unsigned long long>(done),
+                    static_cast<unsigned long long>(owned), 100.0 * p,
+                    humanRate(rate).c_str(), tail.age_seconds, state);
+
+        if (want == 0)
+            want = snap.shard_count;
+        seen.resize(want, false);
+        // readMetricsTail checked 1 <= shard_index <= shard_count.
+        uint32_t i = snap.shard_index;
+        if (snap.shard_count != want || seen[i - 1] || !snap.done ||
+            done < owned)
+            complete = false;
+        else
+            seen[i - 1] = true;
     }
-    if (skipped)
-        std::printf("(%zu unreadable heartbeat file%s skipped)\n",
-                    skipped, skipped == 1 ? "" : "s");
     std::fflush(stdout);
-    return runComplete(views, opt.expect_shards);
+    seen.resize(want, false);
+    for (bool s : seen)
+        complete = complete && s;
+    return complete && want > 0;
 }
 
-/** Validate one sms-metrics-1 series file; true when it passes. */
+/** Validate one whole series file; true when it passes. */
 bool
-checkMetricsFile(const std::string &path)
+validateSeries(const std::string &path)
 {
     std::vector<JsonValue> lines;
     std::string error;
-    if (!readJsonLines(path, lines, error)) {
-        std::fprintf(stderr, "sweep_top: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    if (lines.empty()) {
-        std::fprintf(stderr, "sweep_top: %s: empty metrics series\n",
-                     path.c_str());
-        return false;
-    }
-    if (!validateMetricsSeries(lines, error)) {
+    if (!readJsonLines(path, lines, error) ||
+        !validateMetricsSeries(lines, error)) {
         std::fprintf(stderr, "sweep_top: %s: invalid series: %s\n",
                      path.c_str(), error.c_str());
         return false;
     }
-    std::printf("metrics %s: %zu samples, series valid\n", path.c_str(),
+    std::printf("series %s: %zu samples, valid\n", path.c_str(),
                 lines.size());
     return true;
 }
@@ -224,10 +223,12 @@ main(int argc, char **argv)
             if (!parseU32(argv[++i], opt.interval_ms))
                 return usage(argv[0]);
         } else if (std::strncmp(a, "--stall-seconds=", 16) == 0) {
-            opt.stall_seconds = std::atof(a + 16);
+            if (!parseSeconds(a + 16, opt.stall_seconds))
+                return usage(argv[0]);
         } else if (std::strcmp(a, "--stall-seconds") == 0 &&
                    i + 1 < argc) {
-            opt.stall_seconds = std::atof(argv[++i]);
+            if (!parseSeconds(argv[++i], opt.stall_seconds))
+                return usage(argv[0]);
         } else if (std::strncmp(a, "--expect-shards=", 16) == 0) {
             if (!parseU32(a + 16, opt.expect_shards))
                 return usage(argv[0]);
@@ -235,54 +236,30 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             if (!parseU32(argv[++i], opt.expect_shards))
                 return usage(argv[0]);
-        } else if (std::strncmp(a, "--check-metrics=", 16) == 0) {
-            opt.metrics_files.push_back(a + 16);
-        } else if (std::strcmp(a, "--check-metrics") == 0 &&
-                   i + 1 < argc) {
-            opt.metrics_files.push_back(argv[++i]);
         } else if (std::strncmp(a, "--", 2) == 0) {
             return usage(argv[0]);
-        } else if (opt.dir.empty()) {
-            opt.dir = a;
         } else {
-            return usage(argv[0]);
+            opt.series.push_back(a);
         }
     }
-    if (opt.dir.empty() && opt.metrics_files.empty())
+    if (opt.series.empty())
         return usage(argv[0]);
 
-    bool complete = true;
-    if (!opt.dir.empty()) {
-        if (opt.once) {
-            bool io_error = false;
-            complete = render(opt, false, io_error);
-            if (io_error)
-                return 2;
-        } else {
-            // Live: redraw until the run completes. The screen is
-            // cleared per frame only on a tty; a redirected stream gets
-            // appended frames instead of control codes.
-            bool tty = ::isatty(1) != 0;
-            for (;;) {
-                bool io_error = false;
-                complete = render(opt, tty, io_error);
-                if (io_error)
-                    return 2;
-                if (complete)
-                    break;
-                ::usleep(static_cast<useconds_t>(opt.interval_ms) *
-                         1000);
-            }
-        }
+    bool complete = false;
+    if (opt.once) {
+        complete = render(opt, false);
+    } else {
+        // Live: redraw until the run completes. The screen is cleared
+        // per frame only on a tty; a redirected stream gets appended
+        // frames instead of control codes.
+        bool tty = ::isatty(1) != 0;
+        while (!(complete = render(opt, tty)))
+            ::usleep(static_cast<useconds_t>(opt.interval_ms) * 1000);
     }
-
-    bool metrics_ok = true;
-    for (const std::string &path : opt.metrics_files)
-        metrics_ok = checkMetricsFile(path) && metrics_ok;
-
-    if (!metrics_ok)
-        return 1;
-    if (opt.require_complete && !complete)
-        return 1;
-    return 0;
+    if (!opt.require_complete)
+        return 0;
+    bool valid = true;
+    for (const std::string &path : opt.series)
+        valid = validateSeries(path) && valid;
+    return complete && valid ? 0 : 1;
 }
