@@ -108,7 +108,12 @@ scenesFromEnv()
     return ids;
 }
 
-/** Prepare the scene workloads in parallel (Table II order). */
+/**
+ * Prepare the scene workloads in parallel (Table II order). With live
+ * telemetry on (the JsonReporter starts it), the prepare.scenes_total
+ * and prepare.scenes_done counters report preparation progress before
+ * the sweep has cells.
+ */
 inline std::vector<std::shared_ptr<Workload>>
 prepareAllScenes(ScaleProfile profile = profileFromEnv())
 {
@@ -116,6 +121,8 @@ prepareAllScenes(ScaleProfile profile = profileFromEnv())
     auto start = std::chrono::steady_clock::now();
     const auto ids = scenesFromEnv();
     std::vector<std::shared_ptr<Workload>> workloads(ids.size());
+    if (metricsOn())
+        metricCounter("prepare.scenes_total").add(ids.size());
     const bool tl = timelineOn(TimelineCategory::Sweep);
     uint32_t tl_pid = 0;
     uint64_t tl_start = 0;
@@ -126,6 +133,11 @@ prepareAllScenes(ScaleProfile profile = profileFromEnv())
     parallelFor(ids.size(), [&](size_t i) {
         uint64_t t0 = tl ? timelineWallMicros() : 0;
         workloads[i] = prepareWorkload(ids[i], profile);
+        if (metricsOn()) {
+            static MetricCounter &m_done =
+                metricCounter("prepare.scenes_done");
+            m_done.add();
+        }
         if (tl) {
             uint32_t tid = static_cast<uint32_t>(i) + 1;
             timelineNameThread(tl_pid, tid, sceneName(ids[i]));
@@ -162,10 +174,10 @@ enum class CellOrigin : uint8_t
 struct SweepColumn
 {
     StackConfig stack;
-    uint64_t l1_override = 0;  ///< 0 = the config's own L1 size
-    NodeLayoutConfig layout;   ///< exact by default
-    RayOrderConfig order;      ///< no reordering by default
-    TraversalArchConfig arch;  ///< stack machine by default
+    uint64_t l1_override = 0;   ///< 0 = the config's own L1 size
+    NodeLayoutConfig layout{};  ///< exact by default
+    RayOrderConfig order{};     ///< no reordering by default
+    TraversalArchConfig arch{}; ///< stack machine by default
 
     /** Full GpuConfig of this column (Table I otherwise). */
     GpuConfig
@@ -915,6 +927,7 @@ class JsonReporter
         cache_json["misses"] = cache.misses;
         cache_json["stores"] = cache.stores;
         cache_json["failures"] = cache.failures;
+        cache_json["scene_rebuilds"] = cache.scene_rebuilds;
         throughput["workload_cache"] = std::move(cache_json);
         ResultCacheStats rcache = resultCacheStats();
         JsonValue rcache_json = JsonValue::object();

@@ -22,10 +22,10 @@ main(int argc, char **argv)
 
     std::printf("Preparing scene %s...\n", sceneName(id));
     auto workload = prepareWorkload(id);
-    WideBvhStats bvh_stats = workload->bvh.computeStats(workload->scene);
+    WideBvhStats bvh_stats = workload->bvh.computeStats(workload->scene());
     std::printf("  primitives: %u  BVH6 nodes: %u  depth: %u  "
                 "footprint: %.2f MB\n",
-                workload->scene.primitiveCount(), bvh_stats.node_count,
+                workload->scene().primitiveCount(), bvh_stats.node_count,
                 bvh_stats.max_depth,
                 bvh_stats.footprint_bytes / (1024.0 * 1024.0));
     std::printf("  %ux%u @ %u spp -> %zu warp jobs, %llu rays\n",

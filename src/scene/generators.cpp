@@ -661,7 +661,9 @@ makeShip(ScaleProfile profile)
     scene.name = "SHIP";
     float s = profileScale(profile);
     Pcg32 rng(0x53484950, 12);
-    BasicMaterials m = addBasicMaterials(scene);
+    // SHIP uses none of the basic materials, but adding them first
+    // keeps its own material ids, and so its renders, unchanged.
+    addBasicMaterials(scene);
     uint16_t wood =
         scene.addMaterial({{0.45f, 0.3f, 0.2f}, {0, 0, 0}, 0.0f});
     uint16_t sail =

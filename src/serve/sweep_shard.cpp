@@ -568,14 +568,24 @@ shardProgress(uint32_t index, const MetricsTail &tail, double stall_after)
     const MetricsSnapshot &snap = tail.snapshot;
     uint64_t owned = snap.counterOr("sweep.cells_owned", 0);
     uint64_t done = snap.counterOr("sweep.cells_done", 0);
-    double p = owned ? static_cast<double>(done) / owned
-                     : (snap.done ? 1.0 : 0.0);
-    int fill = static_cast<int>(p * 10.0 + 0.5);
-    fill = fill < 0 ? 0 : fill > 10 ? 10 : fill;
-    std::string cell = strprintf(
-        " %u:[%.*s%.*s] %llu/%llu", index, fill, "##########", 10 - fill,
-        "..........", static_cast<unsigned long long>(done),
-        static_cast<unsigned long long>(owned));
+    uint64_t scenes = snap.counterOr("prepare.scenes_total", 0);
+    std::string cell;
+    if (owned == 0 && scenes > 0 && !snap.done) {
+        // Still preparing: the sweep has not published its cells.
+        cell = strprintf(" %u:prep %llu/%llu", index,
+                         static_cast<unsigned long long>(
+                             snap.counterOr("prepare.scenes_done", 0)),
+                         static_cast<unsigned long long>(scenes));
+    } else {
+        double p = owned ? static_cast<double>(done) / owned
+                         : (snap.done ? 1.0 : 0.0);
+        int fill = static_cast<int>(p * 10.0 + 0.5);
+        fill = fill < 0 ? 0 : fill > 10 ? 10 : fill;
+        cell = strprintf(" %u:[%.*s%.*s] %llu/%llu", index, fill,
+                         "##########", 10 - fill, "..........",
+                         static_cast<unsigned long long>(done),
+                         static_cast<unsigned long long>(owned));
+    }
     if (snap.done)
         cell += " done";
     else if (tail.age_seconds > stall_after)
@@ -675,6 +685,27 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
     uint32_t fail_index = 0;
     pid_t fail_pid = 0;
     int fail_status = 0;
+    // One "shards:" line over the series tails written so far, warning
+    // once per stall; empty while no worker has a complete sample.
+    auto progressLine = [&] {
+        std::string shards;
+        for (uint32_t i = 0; i < workers; ++i) {
+            MetricsTail tail;
+            std::string terr;
+            if (!readMetricsTail(series_paths[i], tail, terr))
+                continue; // no complete sample yet
+            shards += shardProgress(i + 1, tail, stall_after);
+            bool stalled = !tail.snapshot.done && !reaped[i] &&
+                           tail.age_seconds > stall_after;
+            if (stalled && !stall_warned[i])
+                warn("shard worker %u/%u (pid %ld) has not written a "
+                     "metrics sample for %.0f s; it may be stalled",
+                     i + 1, workers, static_cast<long>(pids[i]),
+                     tail.age_seconds);
+            stall_warned[i] = stalled;
+        }
+        return shards.empty() ? shards : "shards:" + shards;
+    };
     std::string last_line;
     auto last_scan = std::chrono::steady_clock::now() -
                      std::chrono::hours(1);
@@ -704,24 +735,8 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
         auto now = std::chrono::steady_clock::now();
         if (watch && now - last_scan >= std::chrono::seconds(1)) {
             last_scan = now;
-            std::string line = "shards:";
-            for (uint32_t i = 0; i < workers; ++i) {
-                MetricsTail tail;
-                std::string terr;
-                if (!readMetricsTail(series_paths[i], tail, terr))
-                    continue; // no complete sample yet
-                line += shardProgress(i + 1, tail, stall_after);
-                bool stalled = !tail.snapshot.done && !reaped[i] &&
-                               tail.age_seconds > stall_after;
-                if (stalled && !stall_warned[i])
-                    warn("shard worker %u/%u (pid %ld) has not written "
-                         "a metrics sample for %.0f s; it may be "
-                         "stalled",
-                         i + 1, workers, static_cast<long>(pids[i]),
-                         tail.age_seconds);
-                stall_warned[i] = stalled;
-            }
-            if (line != last_line) {
+            std::string line = progressLine();
+            if (!line.empty() && line != last_line) {
                 std::printf("%s\n", line.c_str());
                 std::fflush(stdout);
                 last_line = line;
@@ -747,6 +762,17 @@ runShardCoordinator(uint32_t workers, const std::string &json_path,
               "were terminated",
               fail_index, workers, static_cast<long>(fail_pid),
               describeExitStatus(fail_status).c_str());
+    }
+
+    if (watch) {
+        // End on every worker's final sample, even when the run was
+        // shorter than one scan period and printed no progress yet.
+        std::string line = progressLine();
+        if (line.empty())
+            warn("no shard worker wrote a metrics sample");
+        else if (line != last_line)
+            std::printf("%s\n", line.c_str());
+        std::fflush(stdout);
     }
 
     std::vector<JsonValue> records;

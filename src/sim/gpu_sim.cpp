@@ -114,22 +114,15 @@ resetSimulateJobsCallCount()
 }
 
 SimResult
-simulateJobs(const Scene &scene, const WideBvh &bvh,
-             const WarpJobList &jobs, const GpuConfig &config,
-             const SimOptions &options)
+simulateJobs(const WideBvh &bvh, const WarpJobList &jobs,
+             const GpuConfig &config, const SimOptions &options)
 {
     g_simulate_calls.fetch_add(1, std::memory_order_relaxed);
     SimResult result;
     result.jobs = static_cast<uint32_t>(jobs.size());
 
-    // The functional pass runs here only for callers without a tape;
-    // sweeps build each (scene, variant) tape once and share it.
-    TraversalTape built;
     const TraversalTape *tape = options.tape;
-    if (!tape) {
-        built = buildTraversalTape(scene, bvh, jobs, config.variant());
-        tape = &built;
-    }
+    SMS_ASSERT(tape, "replay needs a traversal tape");
     SMS_ASSERT(tape->jobs.size() == jobs.size(),
                "traversal tape holds %zu jobs but the workload has %zu",
                tape->jobs.size(), jobs.size());

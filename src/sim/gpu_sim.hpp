@@ -17,7 +17,6 @@
 #include "src/core/stack_txn.hpp"
 #include "src/memory/memory_system.hpp"
 #include "src/memory/shared_memory.hpp"
-#include "src/scene/scene.hpp"
 #include "src/sim/gpu_config.hpp"
 #include "src/sim/traversal_sim.hpp"
 #include "src/sim/warp_job.hpp"
@@ -43,8 +42,9 @@ struct SimOptions
 
     /**
      * The jobs' traversal tape: buildTraversalTape() of this job stream
-     * under the config's traversal variant. Null makes simulateJobs()
-     * build it first. Must stay alive for the simulateJobs call.
+     * under the config's traversal variant. simulateJobs() requires it;
+     * runWorkload() builds it first when it is null. Must stay alive
+     * for the call.
      */
     const TraversalTape *tape = nullptr;
 
@@ -108,14 +108,14 @@ struct SimResult
 
 /**
  * Simulate a frame's warp jobs on the configured GPU by replaying
- * their traversal tape (SimOptions::tape, or one built here from
- * @p scene) through the timing model.
+ * their traversal tape (SimOptions::tape, which must be set) through
+ * the timing model. No scene is read: the tape holds every outcome of
+ * the functional pass.
  *
  * Deterministic: identical inputs produce identical results.
  */
-SimResult simulateJobs(const Scene &scene, const WideBvh &bvh,
-                       const WarpJobList &jobs, const GpuConfig &config,
-                       const SimOptions &options = {});
+SimResult simulateJobs(const WideBvh &bvh, const WarpJobList &jobs,
+                       const GpuConfig &config, const SimOptions &options);
 
 /**
  * Process-wide count of simulateJobs() invocations (thread-safe). The

@@ -7,6 +7,7 @@
 #include "src/trace/cache_io.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <sys/stat.h>
@@ -25,13 +26,94 @@ fnv1a(const void *data, size_t n, uint64_t h)
     return h;
 }
 
+namespace {
+
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+inline uint64_t
+load64(const unsigned char *p)
+{
+    uint64_t v;
+    std::memcpy(&v, p, sizeof v); // little-endian host, as every format
+    return v;
+}
+
+inline uint32_t
+load32(const unsigned char *p)
+{
+    uint32_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline uint64_t
+round64(uint64_t acc, uint64_t lane)
+{
+    return std::rotl(acc + lane * kPrime2, 31) * kPrime1;
+}
+
+inline uint64_t
+merge64(uint64_t acc, uint64_t lane_acc)
+{
+    return (acc ^ round64(0, lane_acc)) * kPrime1 + kPrime4;
+}
+
+} // namespace
+
+uint64_t
+xxh64(const void *data, size_t n)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    const unsigned char *const end = p + n;
+    uint64_t acc;
+    if (n >= 32) {
+        uint64_t a1 = kPrime1 + kPrime2;
+        uint64_t a2 = kPrime2;
+        uint64_t a3 = 0;
+        uint64_t a4 = 0 - kPrime1;
+        for (const unsigned char *last = end - 32; p <= last; p += 32) {
+            a1 = round64(a1, load64(p));
+            a2 = round64(a2, load64(p + 8));
+            a3 = round64(a3, load64(p + 16));
+            a4 = round64(a4, load64(p + 24));
+        }
+        acc = std::rotl(a1, 1) + std::rotl(a2, 7) + std::rotl(a3, 12) +
+              std::rotl(a4, 18);
+        acc = merge64(acc, a1);
+        acc = merge64(acc, a2);
+        acc = merge64(acc, a3);
+        acc = merge64(acc, a4);
+    } else {
+        acc = kPrime5;
+    }
+    acc += n;
+    for (; end - p >= 8; p += 8)
+        acc = std::rotl(acc ^ round64(0, load64(p)), 27) * kPrime1 + kPrime4;
+    if (end - p >= 4) {
+        acc = std::rotl(acc ^ (load32(p) * kPrime1), 23) * kPrime2 + kPrime3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        acc = std::rotl(acc ^ (*p * kPrime5), 11) * kPrime1;
+    acc ^= acc >> 33;
+    acc *= kPrime2;
+    acc ^= acc >> 29;
+    acc *= kPrime3;
+    acc ^= acc >> 32;
+    return acc;
+}
+
 CacheReader::CacheReader(const char magic[8], const std::string &file)
 {
     if (file.size() < 16 || std::memcmp(file.data(), magic, 8) != 0)
         return;
     uint64_t stored_sum;
     std::memcpy(&stored_sum, file.data() + file.size() - 8, 8);
-    if (fnv1a(file.data(), file.size() - 8) != stored_sum)
+    if (xxh64(file.data(), file.size() - 8) != stored_sum)
         return;
     data_ = file.data() + 8;
     size_ = file.size() - 16;

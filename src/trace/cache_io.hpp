@@ -1,13 +1,13 @@
 /**
  * @file
  * Shared on-disk cache plumbing: the little-endian Writer/Reader pair,
- * the FNV-1a checksum, and the atomic-rename file helpers used by every
- * cache file format in the repository (.wkld workload snapshots,
+ * the envelope checksum, and the atomic-rename file helpers used by
+ * every cache file format in the repository (.wkld workload snapshots,
  * SMSTAPE1 traversal tapes, SMSRSLT1 result-cache entries).
  *
  * All formats follow the same envelope: an 8-byte ASCII magic, a body
  * of fixed-width little-endian fields appended by CacheWriter, and a
- * trailing FNV-1a checksum of everything before it. Floats serialize as
+ * trailing XXH64 checksum of everything before it. Floats serialize as
  * IEEE-754 bit patterns, so reloads are bit-exact.
  *
  * The envelope is built and checked in place. A CacheWriter starts its
@@ -40,9 +40,20 @@
 
 namespace sms {
 
-/** FNV-1a over @p n bytes, chainable via the @p h seed. */
+/**
+ * FNV-1a over @p n bytes, chainable via the @p h seed. Byte-serial: it
+ * keys the cache file names and digests, which hash a few dozen bytes.
+ */
 uint64_t fnv1a(const void *data, size_t n,
                uint64_t h = 0xcbf29ce484222325ull);
+
+/**
+ * XXH64 of @p n bytes with seed 0, as the xxHash specification defines
+ * it: four accumulators take the 8-byte lanes of each 32-byte stripe
+ * independently, so the loop runs near memory speed. The checksum of
+ * every cache envelope.
+ */
+uint64_t xxh64(const void *data, size_t n);
 
 /**
  * Append-only little-endian serializer. Built with a magic it writes a
@@ -69,12 +80,6 @@ class CacheWriter
     u8(uint8_t v)
     {
         out_.push_back(static_cast<char>(v));
-    }
-
-    void
-    u16(uint16_t v)
-    {
-        raw(&v, sizeof v);
     }
 
     void
@@ -120,13 +125,7 @@ class CacheWriter
         f32(v.z);
     }
 
-    void
-    str(const std::string &s)
-    {
-        bytes(s.data(), s.size());
-    }
-
-    /** Length-prefixed raw bytes; the same wire format as str(). */
+    /** Length-prefixed raw bytes: a u64 length, then the bytes. */
     void
     bytes(const void *p, size_t n)
     {
@@ -137,13 +136,13 @@ class CacheWriter
     const std::string &buffer() const { return out_; }
 
     /**
-     * Finish the envelope: append the FNV-1a checksum of everything
+     * Finish the envelope: append the XXH64 checksum of everything
      * written so far and move the buffer out as the file's bytes.
      */
     std::string
     seal() &&
     {
-        uint64_t sum = fnv1a(out_.data(), out_.size());
+        uint64_t sum = xxh64(out_.data(), out_.size());
         raw(&sum, sizeof sum);
         return std::move(out_);
     }
@@ -167,7 +166,7 @@ class CacheReader
   public:
     /**
      * Open the envelope in @p file in place. The reader is ok() only
-     * when @p file starts with @p magic and ends with the FNV-1a
+     * when @p file starts with @p magic and ends with the XXH64
      * checksum of everything before it; it then reads the body between
      * the two. @p file must outlive the reader.
      */
@@ -179,18 +178,13 @@ class CacheReader
     /** True when nothing overran and the whole body was read. */
     bool atEnd() const { return ok_ && off_ == size_; }
 
+    /** Body bytes not read yet (0 once anything overran). */
+    size_t remaining() const { return ok_ ? size_ - off_ : 0; }
+
     uint8_t
     u8()
     {
         uint8_t v = 0;
-        raw(&v, sizeof v);
-        return v;
-    }
-
-    uint16_t
-    u16()
-    {
-        uint16_t v = 0;
         raw(&v, sizeof v);
         return v;
     }
@@ -245,14 +239,6 @@ class CacheReader
         v.y = f32();
         v.z = f32();
         return v;
-    }
-
-    std::string
-    str()
-    {
-        uint64_t n = 0;
-        const char *p = bytes(n);
-        return p ? std::string(p, n) : std::string();
     }
 
     /**

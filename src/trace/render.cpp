@@ -12,6 +12,40 @@
 
 namespace sms {
 
+Workload::Workload(SceneId id_, ScaleProfile profile_, Scene scene_,
+                   WideBvh bvh_, RenderParams params_,
+                   RenderOutput render_)
+    : id(id_), profile(profile_), bvh(std::move(bvh_)), params(params_),
+      render(std::move(render_)), stored_scene_(std::move(scene_))
+{}
+
+Workload::Workload(SceneId id_, ScaleProfile profile_, WideBvh bvh_,
+                   RenderParams params_, RenderOutput render_)
+    : id(id_), profile(profile_), bvh(std::move(bvh_)), params(params_),
+      render(std::move(render_))
+{}
+
+const Scene &
+Workload::scene() const
+{
+    std::call_once(scene_once_, [this] {
+        if (stored_scene_)
+            return;
+        stored_scene_.emplace(makeScene(id, profile));
+        // Scene generation is deterministic, so the regenerated scene
+        // is the one the BVH was built over, unless the generators
+        // changed without a snapshot version bump.
+        SMS_ASSERT(stored_scene_->primitiveCount() ==
+                       bvh.primIndices().size(),
+                   "scene %s regenerated with %u primitives, but its "
+                   "BVH indexes %zu",
+                   sceneName(id), stored_scene_->primitiveCount(),
+                   bvh.primIndices().size());
+        noteSceneRebuild();
+    });
+    return *stored_scene_;
+}
+
 std::shared_ptr<Workload>
 prepareWorkload(SceneId id, ScaleProfile profile,
                 const RenderParams *params)
@@ -81,7 +115,7 @@ TraversalTape
 buildWorkloadTape(const Workload &workload, const TraversalVariant &variant)
 {
     WarpJobList storage;
-    return buildTraversalTape(workload.scene, workload.bvh,
+    return buildTraversalTape(workload.scene(), workload.bvh,
                               simulatedJobs(workload, variant.order,
                                             storage),
                               variant);
@@ -95,13 +129,20 @@ runWorkload(const Workload &workload, const GpuConfig &config,
     const WarpJobList &jobs =
         simulatedJobs(workload, config.ray_order, storage);
     SimOptions opts = options;
+    // Only a run without a tape reads the scene, to build the tape;
+    // sweeps build each (scene, variant) tape once and share it.
+    TraversalTape built;
+    if (!opts.tape) {
+        built = buildTraversalTape(workload.scene(), workload.bvh, jobs,
+                                   config.variant());
+        opts.tape = &built;
+    }
     if (timelineAnyOn() && opts.timeline_label.empty()) {
         // Default trace-process label: "scene config (cycles)".
         opts.timeline_label = std::string(sceneName(workload.id)) + " " +
                               configDisplayName(config) + " (cycles)";
     }
-    SimResult result =
-        simulateJobs(workload.scene, workload.bvh, jobs, config, opts);
+    SimResult result = simulateJobs(workload.bvh, jobs, config, opts);
     SMS_ASSERT(result.mismatches == 0,
                "timing simulation diverged from the functional oracle "
                "(%u lanes) on scene %s under %s",

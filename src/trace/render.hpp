@@ -9,6 +9,8 @@
 #define SMS_TRACE_RENDER_HPP
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 
 #include "src/bvh/wide_bvh.hpp"
@@ -19,22 +21,45 @@
 
 namespace sms {
 
-/** A fully prepared, configuration-independent workload. */
+/**
+ * A fully prepared, configuration-independent workload.
+ *
+ * Only the functional pass (buildWorkloadTape) and scene diagnostics
+ * read the scene; replaying a tape needs the BVH and the job stream
+ * alone. So a workload loaded from a snapshot carries no scene, and
+ * scene() regenerates it on first use.
+ */
 struct Workload
 {
     SceneId id;
     ScaleProfile profile;
-    Scene scene;
     WideBvh bvh;
     RenderParams params;
     RenderOutput render;
 
+    /** A freshly prepared workload, which keeps its scene. */
     Workload(SceneId id_, ScaleProfile profile_, Scene scene_,
-             WideBvh bvh_, RenderParams params_, RenderOutput render_)
-        : id(id_), profile(profile_), scene(std::move(scene_)),
-          bvh(std::move(bvh_)), params(params_),
-          render(std::move(render_))
-    {}
+             WideBvh bvh_, RenderParams params_, RenderOutput render_);
+
+    /** A workload without its scene (loaded from a snapshot). */
+    Workload(SceneId id_, ScaleProfile profile_, WideBvh bvh_,
+             RenderParams params_, RenderOutput render_);
+
+    Workload(const Workload &) = delete;
+    Workload &operator=(const Workload &) = delete;
+
+    /**
+     * The scene: the one the workload was prepared from, or, for a
+     * scene-less workload, makeScene(id, profile) built by the first
+     * call. Thread-safe; a workload regenerates its scene at most once,
+     * checks it against the BVH's primitive count, and counts it in
+     * WorkloadCacheStats::scene_rebuilds.
+     */
+    const Scene &scene() const;
+
+  private:
+    mutable std::once_flag scene_once_;
+    mutable std::optional<Scene> stored_scene_;
 };
 
 /**
@@ -70,7 +95,8 @@ TraversalTape buildWorkloadTape(const Workload &workload,
 
 /**
  * Simulate a prepared workload under one configuration. options.tape,
- * when set, must be buildWorkloadTape(workload, config.variant()).
+ * when set, must be buildWorkloadTape(workload, config.variant());
+ * when null, the tape is built here first, from the scene.
  */
 SimResult runWorkload(const Workload &workload, const GpuConfig &config,
                       const SimOptions &options = {});

@@ -3,11 +3,12 @@
  * Workload snapshot cache implementation.
  *
  * Format: "SMSWKLD1" magic, little-endian fixed-width fields appended
- * by the shared CacheWriter (cache_io.hpp), then an FNV-1a checksum of
+ * by the shared CacheWriter (cache_io.hpp), then an XXH64 checksum of
  * everything before it. Floats are serialized as their IEEE-754 bit
  * patterns, so a reload is bit-exact — the timing simulation over a
  * snapshot is counter-identical to one over a freshly prepared
- * workload.
+ * workload. The scene is not stored: Workload::scene() regenerates it
+ * for the few readers that need it.
  */
 
 #include "src/trace/workload_cache.hpp"
@@ -35,6 +36,7 @@ std::atomic<uint64_t> g_hits{0};
 std::atomic<uint64_t> g_misses{0};
 std::atomic<uint64_t> g_stores{0};
 std::atomic<uint64_t> g_failures{0};
+std::atomic<uint64_t> g_scene_rebuilds{0};
 
 // Pull-collector: publish the existing cache counters into metrics
 // snapshots without touching the lookup/store hot paths.
@@ -49,6 +51,8 @@ const bool g_metrics_collector_registered = [] {
                  g_stores.load(std::memory_order_relaxed));
             sink("workload_cache.failures",
                  g_failures.load(std::memory_order_relaxed));
+            sink("workload_cache.scene_rebuilds",
+                 g_scene_rebuilds.load(std::memory_order_relaxed));
         });
     return true;
 }();
@@ -93,12 +97,15 @@ readAndCheckParams(CacheReader &r, const RenderParams &expect)
     p.height = r.u32();
     p.spp = r.u32();
     p.max_bounces = r.u32();
-    p.shadow_rays = r.u8() != 0;
+    // The byte writeParams() wrote, not any nonzero one: every header
+    // byte of a valid snapshot has exactly one accepted value.
+    uint8_t shadow_rays = r.u8();
     p.seed = r.u64();
     return r.ok() && p.width == expect.width &&
            p.height == expect.height && p.spp == expect.spp &&
            p.max_bounces == expect.max_bounces &&
-           p.shadow_rays == expect.shadow_rays && p.seed == expect.seed;
+           shadow_rays == (expect.shadow_rays ? 1 : 0) &&
+           p.seed == expect.seed;
 }
 
 /** Bytes writeRay() writes. */
@@ -126,95 +133,6 @@ readRay(CacheReader &r)
     ray.tMin = r.f32();
     ray.tMax = r.f32();
     return ray;
-}
-
-/** Bytes writeScene() writes for @p scene. */
-size_t
-sceneBytes(const Scene &scene)
-{
-    return 8 + scene.name.size() + 3 * 12 + 4 + 2 * 12 + 8 +
-           scene.materials().size() * (2 * 12 + 4) + 8 +
-           size_t{scene.triangleCount()} * (3 * 12 + 2) + 8 +
-           size_t{scene.sphereCount()} * (12 + 4 + 2);
-}
-
-void
-writeScene(CacheWriter &w, const Scene &scene)
-{
-    w.str(scene.name);
-    w.vec3(scene.camera.position);
-    w.vec3(scene.camera.lookAt);
-    w.vec3(scene.camera.up);
-    w.f32(scene.camera.verticalFovDeg);
-    w.vec3(scene.light.position);
-    w.vec3(scene.light.intensity);
-
-    w.u64(scene.materials().size());
-    for (const Material &m : scene.materials()) {
-        w.vec3(m.albedo);
-        w.vec3(m.emission);
-        w.f32(m.reflectivity);
-    }
-    w.u64(scene.triangleCount());
-    for (uint32_t t = 0; t < scene.triangleCount(); ++t) {
-        const Triangle &tri = scene.triangles()[t];
-        w.vec3(tri.v0);
-        w.vec3(tri.v1);
-        w.vec3(tri.v2);
-        w.u16(scene.primitiveMaterialId(t));
-    }
-    w.u64(scene.sphereCount());
-    for (uint32_t s = 0; s < scene.sphereCount(); ++s) {
-        const Sphere &sph = scene.spheres()[s];
-        w.vec3(sph.center);
-        w.f32(sph.radius);
-        w.u16(scene.primitiveMaterialId(scene.triangleCount() + s));
-    }
-}
-
-bool
-readScene(CacheReader &r, Scene &scene)
-{
-    scene.name = r.str();
-    scene.camera.position = r.vec3();
-    scene.camera.lookAt = r.vec3();
-    scene.camera.up = r.vec3();
-    scene.camera.verticalFovDeg = r.f32();
-    scene.light.position = r.vec3();
-    scene.light.intensity = r.vec3();
-
-    uint64_t materials = r.u64();
-    if (!r.ok() || materials > 0xffff)
-        return false;
-    for (uint64_t i = 0; i < materials; ++i) {
-        Material m;
-        m.albedo = r.vec3();
-        m.emission = r.vec3();
-        m.reflectivity = r.f32();
-        scene.addMaterial(m);
-    }
-    uint64_t triangles = r.u64();
-    for (uint64_t i = 0; r.ok() && i < triangles; ++i) {
-        Triangle tri;
-        tri.v0 = r.vec3();
-        tri.v1 = r.vec3();
-        tri.v2 = r.vec3();
-        uint16_t mat = r.u16();
-        if (!r.ok() || mat >= materials)
-            return false;
-        scene.addTriangle(tri, mat);
-    }
-    uint64_t spheres = r.u64();
-    for (uint64_t i = 0; r.ok() && i < spheres; ++i) {
-        Sphere sph;
-        sph.center = r.vec3();
-        sph.radius = r.f32();
-        uint16_t mat = r.u16();
-        if (!r.ok() || mat >= materials)
-            return false;
-        scene.addSphere(sph, mat);
-    }
-    return r.ok();
 }
 
 /** Bytes of one node: six child boxes and references, the count. */
@@ -370,8 +288,10 @@ readRender(CacheReader &r, std::unique_ptr<RenderOutput> &out)
 {
     uint32_t width = r.u32();
     uint32_t height = r.u32();
+    // The film is allocated before its pixels are read, so its size is
+    // bounded by the bytes left: 12 per pixel.
     if (!r.ok() || width == 0 || height == 0 ||
-        static_cast<uint64_t>(width) * height > (1u << 26))
+        static_cast<uint64_t>(width) * height > r.remaining() / 12)
         return false;
     out = std::make_unique<RenderOutput>(width, height);
     for (uint32_t y = 0; y < height; ++y)
@@ -401,6 +321,7 @@ workloadCacheStats()
     s.misses = g_misses.load();
     s.stores = g_stores.load();
     s.failures = g_failures.load();
+    s.scene_rebuilds = g_scene_rebuilds.load();
     return s;
 }
 
@@ -411,6 +332,13 @@ resetWorkloadCacheStats()
     g_misses = 0;
     g_stores = 0;
     g_failures = 0;
+    g_scene_rebuilds = 0;
+}
+
+void
+noteSceneRebuild()
+{
+    g_scene_rebuilds.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::string
@@ -465,9 +393,6 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
     if (!readAndCheckParams(r, params))
         return invalid("render params mismatch");
 
-    Scene scene;
-    if (!readScene(r, scene))
-        return invalid("corrupt scene section");
     WideBvh bvh;
     if (!readBvh(r, bvh))
         return invalid("corrupt bvh section");
@@ -478,8 +403,7 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
         return invalid("trailing bytes");
 
     ++g_hits;
-    return std::make_shared<Workload>(id, profile, std::move(scene),
-                                      std::move(bvh), params,
+    return std::make_shared<Workload>(id, profile, std::move(bvh), params,
                                       std::move(*render));
 }
 
@@ -494,7 +418,6 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
         return false;
     }
     CacheWriter w(kMagic, 4 + 8 + 1 + 1 + kParamsBytes +
-                              sceneBytes(workload.scene) +
                               bvhBytes(workload.bvh) +
                               renderBytes(workload.render));
     w.u32(kWorkloadSnapshotVersion);
@@ -502,7 +425,6 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
     w.u8(static_cast<uint8_t>(workload.id));
     w.u8(static_cast<uint8_t>(profile));
     writeParams(w, params);
-    writeScene(w, workload.scene);
     writeBvh(w, workload.bvh);
     writeRender(w, workload.render);
 

@@ -6,14 +6,17 @@
  * the functional oracle render that emits the warp-job stream — is
  * configuration-independent and fully deterministic, yet every one of
  * the 11 bench binaries redoes it from scratch for every scene. The
- * snapshot cache serializes the finished Workload to a versioned binary
- * file keyed by (scene, geometry profile, render params, build schema)
- * so subsequent runs — in the same binary or any other — deserialize in
- * milliseconds instead of re-tracing.
+ * snapshot cache serializes the BVH, the reference image and the
+ * warp-job stream to a versioned binary file keyed by (scene,
+ * geometry profile, render params, build schema), so subsequent runs —
+ * in the same binary or any other — deserialize in milliseconds
+ * instead of re-tracing. The scene is not stored: a warm sweep replays
+ * tapes and never reads it, and Workload::scene() regenerates it for
+ * the readers that do (tape builds, scene statistics).
  *
  * Enabled by pointing SMS_WORKLOAD_CACHE at a directory (created on
  * first store). Any validation failure — wrong magic, version, schema
- * hash, params, truncation, checksum — is a silent miss: the workload
+ * hash, params, truncation, checksum — is a counted miss: the workload
  * is rebuilt and the snapshot rewritten. Files are written to a
  * temporary name and rename()d into place so concurrent processes never
  * observe a partial snapshot.
@@ -41,7 +44,7 @@ namespace sms {
  * layout or to the deterministic content of prepared workloads (scene
  * generators, BVH builder, path tracer, warp-job emission).
  */
-constexpr uint32_t kWorkloadSnapshotVersion = 1;
+constexpr uint32_t kWorkloadSnapshotVersion = 2;
 
 /** Counters over all snapshot-cache activity of this process. */
 struct WorkloadCacheStats
@@ -50,6 +53,8 @@ struct WorkloadCacheStats
     uint64_t misses = 0;   ///< lookups that had to rebuild
     uint64_t stores = 0;   ///< snapshots written
     uint64_t failures = 0; ///< invalid/unreadable snapshots discarded
+    /** Scenes regenerated for workloads loaded without one. */
+    uint64_t scene_rebuilds = 0;
 };
 
 /** Snapshot of this process's cache counters (thread-safe). */
@@ -57,6 +62,9 @@ WorkloadCacheStats workloadCacheStats();
 
 /** Reset the cache counters (tests). */
 void resetWorkloadCacheStats();
+
+/** Count one Workload::scene() regeneration (thread-safe). */
+void noteSceneRebuild();
 
 /**
  * Snapshot-cache directory from SMS_WORKLOAD_CACHE, or "" when the

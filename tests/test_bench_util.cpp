@@ -3,7 +3,8 @@
  * Tests for the bench harness utilities: degenerate-cell handling in
  * the normalized-IPC geomean (a zero-IPC config must not abort the
  * sweep), the off-chip normalization direction fix, strict SMS_FULL
- * parsing, and the JsonReporter flag/path plumbing.
+ * parsing, the JsonReporter flag/path plumbing, and which sweeps
+ * regenerate the scene of a workload loaded from a snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <unistd.h>
 
 #include "bench/bench_util.hpp"
+#include "src/trace/cache_io.hpp"
 
 namespace sms {
 namespace benchutil {
@@ -46,6 +49,42 @@ class ScopedEnv
     bool had_old_;
     std::string old_;
 };
+
+/** Fresh per-test cache directory, removed on destruction. */
+class TempCacheDir
+{
+  public:
+    explicit TempCacheDir(const char *tag)
+        : path_(std::string("/tmp/sms_bench_util_") + tag + "_" +
+                std::to_string(static_cast<long>(::getpid())))
+    {
+        std::string cmd = "rm -rf '" + path_ + "'";
+        [[maybe_unused]] int rc = std::system(cmd.c_str());
+    }
+    ~TempCacheDir()
+    {
+        std::string cmd = "rm -rf '" + path_ + "'";
+        [[maybe_unused]] int rc = std::system(cmd.c_str());
+    }
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+/** Full JSON of every cell of two sweeps must match. */
+void
+expectSameCells(const SweepResult &a, const SweepResult &b)
+{
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (size_t s = 0; s < a.results.size(); ++s) {
+        ASSERT_EQ(a.results[s].size(), b.results[s].size());
+        for (size_t c = 0; c < a.results[s].size(); ++c)
+            EXPECT_EQ(toJson(a.results[s][c]).dump(),
+                      toJson(b.results[s][c]).dump())
+                << a.sceneLabel(s) << " " << a.configLabel(c);
+    }
+}
 
 /** Synthetic 2-scene sweep; cell IPC = instructions / 1000 cycles. */
 SweepResult
@@ -319,6 +358,71 @@ TEST(RunSweep, ThreadCountDoesNotChangeCounters)
                       toJson(threaded.results[s][c]).dump())
                 << "scene " << serial.sceneLabel(s) << " config " << c;
     }
+}
+
+TEST(RunSweep, WarmTapeSweepRebuildsNoScene)
+{
+    // Workloads loaded from snapshots carry no scene, and a sweep whose
+    // tapes all load from disk only replays: no scene is regenerated.
+    TempCacheDir dir("warm");
+    ScopedEnv env("SMS_WORKLOAD_CACHE", dir.path().c_str());
+    ScopedEnv no_results("SMS_RESULT_CACHE", nullptr);
+    const std::vector<StackConfig> configs = {StackConfig::baseline(8),
+                                              StackConfig::sms()};
+    auto prepare = [] {
+        return std::vector<std::shared_ptr<Workload>>{
+            prepareWorkload(SceneId::WKND, ScaleProfile::Tiny),
+            prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny)};
+    };
+    SweepResult cold = runSweep(prepare(), configs, {}, 4);
+
+    resetWorkloadCacheStats();
+    resetTraversalTapeStats();
+    auto warm_workloads = prepare();
+    SweepResult warm = runSweep(warm_workloads, configs, {}, 4);
+    EXPECT_EQ(workloadCacheStats().hits, 2u);
+    EXPECT_EQ(traversalTapeStats().disk_loads, 2u);
+    EXPECT_EQ(traversalTapeStats().jobs_recorded, 0u);
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 0u);
+    expectSameCells(cold, warm);
+}
+
+TEST(RunSweep, CorruptTapesRebuildTheSceneOnce)
+{
+    // One scene, two traversal variants: two tapes. With both tapes
+    // corrupt, a warm sweep runs both build tasks, concurrently on four
+    // threads, and they share one regenerated scene.
+    TempCacheDir dir("corrupt");
+    ScopedEnv env("SMS_WORKLOAD_CACHE", dir.path().c_str());
+    ScopedEnv no_results("SMS_RESULT_CACHE", nullptr);
+    const std::vector<SweepColumn> columns = {
+        SweepColumn{.stack = StackConfig::baseline(8)},
+        SweepColumn{.stack = StackConfig::baseline(8),
+                    .layout = NodeLayoutConfig::quantized(8)},
+        SweepColumn{.stack = StackConfig::sms(),
+                    .layout = NodeLayoutConfig::quantized(8)},
+    };
+    SweepResult cold = runSweep(
+        {prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny)}, columns, 4);
+
+    auto warm_workload = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny);
+    // Columns 1 and 2 share the quantized variant's tape.
+    for (const SweepColumn &column : {columns[0], columns[1]}) {
+        std::string path = traversalTapePath(
+            dir.path(), warm_workload->id, warm_workload->profile,
+            warm_workload->params, column.variant());
+        std::string file;
+        ASSERT_TRUE(readFile(path, file));
+        file[file.size() / 2] ^= 0x01;
+        ASSERT_TRUE(writeFileAtomic(path, file));
+    }
+    resetWorkloadCacheStats();
+    resetTraversalTapeStats();
+    SweepResult warm = runSweep({warm_workload}, columns, 4);
+    EXPECT_EQ(traversalTapeStats().failures, 2u);
+    EXPECT_EQ(traversalTapeStats().disk_stores, 2u);
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 1u);
+    expectSameCells(cold, warm);
 }
 
 } // namespace

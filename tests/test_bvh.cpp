@@ -326,8 +326,9 @@ TEST(Traverse, CountersAreConsistent)
     // box hits; pops never exceed pushes.
     EXPECT_GE(ctr.box_tests, 2 * ctr.nodes_visited);
     EXPECT_LE(ctr.stack_pops, ctr.stack_pushes);
-    if (ctr.leaf_visits > 0)
+    if (ctr.leaf_visits > 0) {
         EXPECT_GT(ctr.prim_tests, 0u);
+    }
 }
 
 TEST(Traverse, RespectsTmaxSegment)
@@ -375,8 +376,9 @@ TEST(Traverse, SceneSuiteSpotCheckAgainstBruteForce)
             HitRecord oracle = scene.intersectBruteForce(ray);
             ASSERT_EQ(ours.valid(), oracle.valid())
                 << sceneName(id) << " ray " << i;
-            if (ours.valid())
+            if (ours.valid()) {
                 EXPECT_NEAR(ours.t, oracle.t, 1e-2f);
+            }
         }
     }
 }

@@ -183,8 +183,9 @@ TEST(Aabb, PropertySampledPointsAgree)
             }
         }
         // Sampling can miss thin intersections but never invents one.
-        if (sampled_hit)
+        if (sampled_hit) {
             EXPECT_TRUE(hit) << "iteration " << iter;
+        }
         if (hit) {
             EXPECT_GE(t, ray.tMin);
             EXPECT_LE(t, ray.tMax);

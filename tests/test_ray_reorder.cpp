@@ -75,8 +75,9 @@ TEST(RayOrderKey, MortonIsMonotonicAlongTheDiagonal)
         float v = static_cast<float>(i * 8);
         Ray ray({v, v, v}, {1, 1, 1});
         uint64_t key = rayOrderKey(ray, bounds) & kMortonMask;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(key, prev);
+        }
         prev = key;
     }
 }
@@ -163,8 +164,9 @@ TEST_F(RayReorderWorkload, BarrierStructureReplacesParentEdges)
     EXPECT_TRUE(saw_barrier);
     // Jobs within one batch share segment/any_hit with their batch.
     for (size_t j = 1; j < reordered.size(); ++j)
-        if (reordered[j].barrier == reordered[j - 1].barrier)
+        if (reordered[j].barrier == reordered[j - 1].barrier) {
             EXPECT_EQ(reordered[j].segment, reordered[j - 1].segment);
+        }
 }
 
 TEST_F(RayReorderWorkload, SimulatedVariantsMatchTheOracle)

@@ -322,7 +322,7 @@ TEST(ResultCache, OversizedTraceCountIsRejected)
     // 2^32 records, the most the reader used to accept: 64 GiB.
     count = 1ull << 32;
     std::memcpy(&file[count_at], &count, sizeof count);
-    uint64_t sum = fnv1a(file.data(), file.size() - 8);
+    uint64_t sum = xxh64(file.data(), file.size() - 8);
     std::memcpy(&file[file.size() - 8], &sum, sizeof sum);
     ASSERT_TRUE(writeFileAtomic(path, file));
 

@@ -44,6 +44,17 @@ shipWorkload()
     return *workload;
 }
 
+/** simulateJobs() of @p jobs, with their tape built first. */
+SimResult
+simulate(const Workload &w, const WarpJobList &jobs, const GpuConfig &config)
+{
+    TraversalTape tape =
+        buildTraversalTape(w.scene(), w.bvh, jobs, config.variant());
+    SimOptions options;
+    options.tape = &tape;
+    return simulateJobs(w.bvh, jobs, config, options);
+}
+
 class SimConfigTest : public ::testing::TestWithParam<StackConfig>
 {
 };
@@ -238,7 +249,7 @@ TEST(Sim, CyclesCoverZeroLatencyCompletionTies)
     const Workload &w = bunnyWorkload();
     GpuConfig config = makeGpuConfig(StackConfig::sms());
 
-    SimResult base = simulateJobs(w.scene, w.bvh, w.render.jobs, config);
+    SimResult base = simulate(w, w.render.jobs, config);
 
     WarpJobList padded = w.render.jobs;
     WarpJob idle;
@@ -246,22 +257,21 @@ TEST(Sim, CyclesCoverZeroLatencyCompletionTies)
     idle.warp_id = padded.back().warp_id + 1;
     padded.push_back(idle);
 
-    SimResult with_idle = simulateJobs(w.scene, w.bvh, padded, config);
+    SimResult with_idle = simulate(w, padded, config);
     EXPECT_EQ(with_idle.cycles, base.cycles);
     EXPECT_EQ(with_idle.instructions, base.instructions);
     EXPECT_EQ(with_idle.jobs, base.jobs + 1);
 
     // Exact-JSON determinism across repeated runs, including the
     // padded job list where completion ties are guaranteed.
-    SimResult again = simulateJobs(w.scene, w.bvh, padded, config);
+    SimResult again = simulate(w, padded, config);
     EXPECT_EQ(toJson(with_idle).dump(), toJson(again).dump());
 }
 
 TEST(Sim, EmptyJobListCompletes)
 {
     const Workload &w = bunnyWorkload();
-    SimResult r = simulateJobs(w.scene, w.bvh, {},
-                               makeGpuConfig(StackConfig::baseline(8)));
+    SimResult r = simulate(w, {}, makeGpuConfig(StackConfig::baseline(8)));
     EXPECT_EQ(r.cycles, 0u);
     EXPECT_EQ(r.jobs, 0u);
 }

@@ -179,8 +179,9 @@ TEST_P(SoaDifferentialTest, RandomChurnMatchesFrozenAosModel)
             bool g_ok = soa.pop(lane, gv, got);
             bool w_ok = aos.pop(lane, wv, want);
             ASSERT_EQ(g_ok, w_ok) << tc.label << " step " << step;
-            if (g_ok)
+            if (g_ok) {
                 ASSERT_EQ(gv, wv) << tc.label << " step " << step;
+            }
         }
         ASSERT_TRUE(sameTxnList(got, want))
             << tc.label << " step " << step;
@@ -188,8 +189,9 @@ TEST_P(SoaDifferentialTest, RandomChurnMatchesFrozenAosModel)
         ASSERT_EQ(soa.shDepth(lane), aos.shDepth(lane));
         ASSERT_EQ(soa.globalDepth(lane), aos.globalDepth(lane));
         ASSERT_EQ(soa.borrowedCount(lane), aos.borrowedCount(lane));
-        if (!aos.laneEmpty(lane) && !aos.laneFinished(lane))
+        if (!aos.laneEmpty(lane) && !aos.laneFinished(lane)) {
             ASSERT_EQ(soa.peek(lane), aos.peek(lane));
+        }
     }
 
     // Drain everything and compare the final statistics bytes.
@@ -237,16 +239,18 @@ TEST_P(SoaDifferentialTest, ArenaSinkMatchesListSink)
             bool l_ok = via_list.pop(lane, lv, list_txns);
             bool a_ok = via_arena.pop(lane, av, arena);
             ASSERT_EQ(l_ok, a_ok) << tc.label << " step " << step;
-            if (l_ok)
+            if (l_ok) {
                 ASSERT_EQ(lv, av);
+            }
         }
         ASSERT_EQ(arena.laneCount(lane), list_txns.size());
         ASSERT_TRUE(sameTxnList(arena.laneTxns(lane), list_txns))
             << tc.label << " step " << step;
         // No stray transactions on other lanes.
         for (uint32_t other = 0; other < kWarpSize; ++other)
-            if (other != lane)
+            if (other != lane) {
                 ASSERT_EQ(arena.laneCount(other), 0u);
+            }
     }
     EXPECT_TRUE(sameStats(via_arena.stats(), via_list.stats()));
 }

@@ -334,8 +334,9 @@ TEST_F(TimelineTest, SummarizeBreaksDownPerName)
     uint64_t sim_name_time = summary.names[0].span_time +
                              summary.names[1].span_time;
     for (const TraceCategorySummary &s : summary.categories)
-        if (s.category == "sim")
+        if (s.category == "sim") {
             EXPECT_EQ(s.span_time, sim_name_time);
+        }
 }
 
 TEST_F(TimelineTest, SummarizeReportsRingDrops)

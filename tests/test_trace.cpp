@@ -152,8 +152,9 @@ TEST_F(JobGenTest, JobIdsAreDenseAndParentsPrecede)
     for (uint32_t i = 0; i < out_->jobs.size(); ++i) {
         const WarpJob &job = out_->jobs[i];
         EXPECT_EQ(job.job_id, i);
-        if (job.parent >= 0)
+        if (job.parent >= 0) {
             EXPECT_LT(static_cast<uint32_t>(job.parent), i);
+        }
     }
 }
 
@@ -162,8 +163,9 @@ TEST_F(JobGenTest, WarpChainsAreSequential)
     // Jobs of one warp form a single chain: every non-root job's
     // parent belongs to the same warp.
     for (const WarpJob &job : out_->jobs) {
-        if (job.parent >= 0)
+        if (job.parent >= 0) {
             EXPECT_EQ(out_->jobs[job.parent].warp_id, job.warp_id);
+        }
     }
 }
 
@@ -214,8 +216,9 @@ TEST_F(JobGenTest, OraclesMatchReferenceTraversal)
                 HitRecord hit =
                     traverseClosest(*scene_, *bvh_, job.rays[lane]);
                 EXPECT_EQ(hit.valid(), job.expected_hit[lane]);
-                if (hit.valid())
+                if (hit.valid()) {
                     EXPECT_EQ(hit.primitive, job.expected_prim[lane]);
+                }
             }
         }
     }
@@ -231,8 +234,9 @@ TEST_F(JobGenTest, ActiveLanesShrinkAlongChains)
         if (job.any_hit)
             continue;
         auto it = last_active.find(job.warp_id);
-        if (it != last_active.end())
+        if (it != last_active.end()) {
             EXPECT_LE(job.activeLanes(), it->second);
+        }
         last_active[job.warp_id] = job.activeLanes();
     }
 }

@@ -129,9 +129,10 @@ TEST(StacklessLinks, ParentSlotInverseOfChildEdges)
         if (p == StacklessLinks::kNoParent)
             ++roots;
     EXPECT_EQ(roots, 1u);
-    if (bvh.rootRef().isInternal())
+    if (bvh.rootRef().isInternal()) {
         EXPECT_EQ(links.parent[bvh.rootRef().nodeIndex()],
                   StacklessLinks::kNoParent);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,9 +2,9 @@
  * @file
  * Tests for the workload snapshot cache: bit-exact round-trips (the
  * timing simulation over a reloaded workload must be counter-identical
- * to one over a freshly prepared workload), corruption tolerance, and
- * the hit/miss/store accounting surfaced in the bench throughput
- * records.
+ * to one over a freshly prepared workload), the scene a loaded workload
+ * regenerates, corruption tolerance, the envelope checksum, and the
+ * hit/miss/store accounting surfaced in the bench throughput records.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
+#include <random>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
@@ -100,7 +101,7 @@ std::string
 resealed(std::string file, size_t offset, uint64_t value)
 {
     std::memcpy(&file[offset], &value, sizeof value);
-    uint64_t sum = fnv1a(file.data(), file.size() - 8);
+    uint64_t sum = xxh64(file.data(), file.size() - 8);
     std::memcpy(&file[file.size() - 8], &sum, sizeof sum);
     return file;
 }
@@ -111,6 +112,91 @@ simResultJson(const Workload &workload)
     SimResult result =
         runWorkload(workload, makeGpuConfig(StackConfig::sms()));
     return toJson(result).dump();
+}
+
+/** Same IEEE-754 bit patterns, component by component. */
+bool
+sameBits(const Vec3 &a, const Vec3 &b)
+{
+    return std::memcmp(&a.x, &b.x, sizeof(float)) == 0 &&
+           std::memcmp(&a.y, &b.y, sizeof(float)) == 0 &&
+           std::memcmp(&a.z, &b.z, sizeof(float)) == 0;
+}
+
+bool
+sameBits(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Scene equality, triangle for triangle and material for material. */
+void
+expectSameScene(const Scene &a, const Scene &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_TRUE(sameBits(a.camera.position, b.camera.position) &&
+                sameBits(a.camera.lookAt, b.camera.lookAt) &&
+                sameBits(a.camera.up, b.camera.up) &&
+                sameBits(a.camera.verticalFovDeg, b.camera.verticalFovDeg));
+    EXPECT_TRUE(sameBits(a.light.position, b.light.position) &&
+                sameBits(a.light.intensity, b.light.intensity));
+    ASSERT_EQ(a.materials().size(), b.materials().size());
+    for (size_t m = 0; m < a.materials().size(); ++m) {
+        const Material &x = a.materials()[m];
+        const Material &y = b.materials()[m];
+        EXPECT_TRUE(sameBits(x.albedo, y.albedo) &&
+                    sameBits(x.emission, y.emission) &&
+                    sameBits(x.reflectivity, y.reflectivity))
+            << "material " << m;
+    }
+    ASSERT_EQ(a.triangleCount(), b.triangleCount());
+    ASSERT_EQ(a.sphereCount(), b.sphereCount());
+    for (uint32_t t = 0; t < a.triangleCount(); ++t) {
+        const Triangle &x = a.triangles()[t];
+        const Triangle &y = b.triangles()[t];
+        EXPECT_TRUE(sameBits(x.v0, y.v0) && sameBits(x.v1, y.v1) &&
+                    sameBits(x.v2, y.v2))
+            << "triangle " << t;
+    }
+    for (uint32_t s = 0; s < a.sphereCount(); ++s) {
+        EXPECT_TRUE(sameBits(a.spheres()[s].center, b.spheres()[s].center) &&
+                    sameBits(a.spheres()[s].radius, b.spheres()[s].radius))
+            << "sphere " << s;
+    }
+    for (uint32_t p = 0; p < a.primitiveCount(); ++p)
+        EXPECT_EQ(a.primitiveMaterialId(p), b.primitiveMaterialId(p))
+            << "primitive " << p;
+}
+
+TEST(EnvelopeSum, MatchesPublishedXxh64Values)
+{
+    // The published XXH64 values (seed 0) of these strings.
+    EXPECT_EQ(xxh64("", 0), 0xef46db3751d8e999ull);
+    EXPECT_EQ(xxh64("a", 1), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(xxh64("abc", 3), 0x44bc2cf5ad770999ull);
+    const char *text = "Nobody inspects the spammish repetition";
+    EXPECT_EQ(xxh64(text, std::strlen(text)), 0xfbcea83c8a378bf1ull);
+}
+
+TEST(EnvelopeSum, EveryBitFlipAndTruncationChangesTheSum)
+{
+    // The envelope sum must catch every damage FNV-1a caught: any one
+    // flipped bit and any truncation of a seeded 4 KiB buffer.
+    std::string buffer(4096, '\0');
+    std::mt19937_64 rng(20);
+    for (char &c : buffer)
+        c = static_cast<char>(rng());
+    const uint64_t sum = xxh64(buffer.data(), buffer.size());
+    for (size_t at = 0; at < buffer.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            buffer[at] = static_cast<char>(buffer[at] ^ (1 << bit));
+            ASSERT_NE(xxh64(buffer.data(), buffer.size()), sum)
+                << "bit " << bit << " of byte " << at;
+            buffer[at] = static_cast<char>(buffer[at] ^ (1 << bit));
+        }
+    }
+    for (size_t n = 0; n < buffer.size(); ++n)
+        ASSERT_NE(xxh64(buffer.data(), n), sum) << "truncated to " << n;
 }
 
 TEST(WorkloadCache, DisabledWithoutEnv)
@@ -150,6 +236,29 @@ TEST(WorkloadCache, ColdRunStoresWarmRunHits)
               warm->render.film.contentHash());
     EXPECT_EQ(cold->render.jobs.size(), warm->render.jobs.size());
     EXPECT_EQ(cold->render.rays, warm->render.rays);
+    EXPECT_EQ(simResultJson(*cold), simResultJson(*warm));
+}
+
+TEST(WorkloadCache, LoadedWorkloadRegeneratesItsSceneOnce)
+{
+    // A snapshot holds no scene. The loaded workload regenerates it on
+    // the first scene() call, equal to makeScene()'s, and only once; a
+    // freshly prepared workload never counts a rebuild.
+    TempCacheDir dir;
+    ScopedEnv env("SMS_WORKLOAD_CACHE", dir.path().c_str());
+    resetWorkloadCacheStats();
+    auto cold = prepareWorkload(SceneId::WKND, ScaleProfile::Tiny);
+    cold->scene();
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 0u);
+
+    auto warm = prepareWorkload(SceneId::WKND, ScaleProfile::Tiny);
+    ASSERT_EQ(workloadCacheStats().hits, 1u);
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 0u);
+    const Scene &scene = warm->scene();
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 1u);
+    EXPECT_EQ(&warm->scene(), &scene);
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 1u);
+    expectSameScene(scene, makeScene(SceneId::WKND, ScaleProfile::Tiny));
     EXPECT_EQ(simResultJson(*cold), simResultJson(*warm));
 }
 
@@ -326,9 +435,10 @@ TEST(WorkloadCache, ConcurrentWritersNeverCorruptOrLeakTemps)
                 auto loaded = loadWorkloadSnapshot(
                     dir.path(), SceneId::REF, ScaleProfile::Tiny,
                     params);
-                if (loaded)
+                if (loaded) {
                     EXPECT_EQ(loaded->render.film.contentHash(),
                               workload->render.film.contentHash());
+                }
                 TraversalTape replay;
                 loadTraversalTape(dir.path(), *workload, replay);
             }

@@ -4,9 +4,11 @@
  * of a sweep's workers (SMS_METRICS; a --shard-workers run writes
  * <path>.shard<i> per worker). Renders one row per series file from
  * its last complete line (readMetricsTail, src/stats/metrics.hpp): a
- * progress bar over the sweep.cells_done / sweep.cells_owned counters,
- * the simulated-cycle rate, the file's age, and a STALLED flag when a
- * worker stopped appending samples.
+ * progress bar over the sweep.cells_done / sweep.cells_owned counters
+ * (while a worker still prepares its scenes and has no cells yet, the
+ * cells column shows "prep <prepare.scenes_done>/<prepare.scenes_total>"
+ * instead), the simulated-cycle rate, the file's age, and a STALLED
+ * flag when a worker stopped appending samples.
  *
  * Usage:
  *   sweep_top <series>... [--once] [--interval-ms N]
@@ -145,6 +147,19 @@ render(const Options &opt, bool clear_screen)
         const MetricsSnapshot &snap = tail.snapshot;
         uint64_t owned = snap.counterOr("sweep.cells_owned", 0);
         uint64_t done = snap.counterOr("sweep.cells_done", 0);
+        uint64_t scenes = snap.counterOr("prepare.scenes_total", 0);
+        // Until the sweep publishes its cells, the scenes prepared.
+        char cells[48];
+        if (owned == 0 && scenes > 0 && !snap.done)
+            std::snprintf(
+                cells, sizeof cells, "prep %3llu/%-4llu",
+                static_cast<unsigned long long>(
+                    snap.counterOr("prepare.scenes_done", 0)),
+                static_cast<unsigned long long>(scenes));
+        else
+            std::snprintf(cells, sizeof cells, "%5llu/%-7llu",
+                          static_cast<unsigned long long>(done),
+                          static_cast<unsigned long long>(owned));
         double p = owned ? static_cast<double>(done) / owned
                          : (snap.done ? 1.0 : 0.0);
         int fill = static_cast<int>(p * 20.0 + 0.5);
@@ -161,12 +176,10 @@ render(const Options &opt, bool clear_screen)
             snap.done ? "done"
             : tail.age_seconds > opt.stall_seconds ? "STALLED"
                                                    : "running";
-        std::printf("%2u/%-3u %-8ld %-22s %5llu/%-7llu %5.1f %9s "
-                    "%5.1fs  %s\n",
+        std::printf("%2u/%-3u %-8ld %-22s %13s %5.1f %9s %5.1fs  %s\n",
                     snap.shard_index, snap.shard_count, snap.pid, bar,
-                    static_cast<unsigned long long>(done),
-                    static_cast<unsigned long long>(owned), 100.0 * p,
-                    humanRate(rate).c_str(), tail.age_seconds, state);
+                    cells, 100.0 * p, humanRate(rate).c_str(),
+                    tail.age_seconds, state);
 
         if (want == 0)
             want = snap.shard_count;
