@@ -61,17 +61,18 @@ using StackTxnList = std::vector<StackTxn>;
 
 /**
  * Pooled per-warp transaction lists: one flat node pool with inline
- * next-links, and a (head, tail) pair per lane.
+ * next-links, a (head, tail) pair per lane and a mask of the lanes
+ * whose list is non-empty.
  *
  * The timing simulator collects every lane's transactions for one
  * pipeline step, then walks them round by round. With one
  * std::vector<StackTxn> per lane that is 32 clear()s and up to 32
  * grow-reallocations per step on the sweep's hottest path; the arena
- * replaces all of it with one bump-allocated pool (clear() is O(1)
- * counters-only) while keeping each lane's list ordered through the
- * inline links. Same idiom as tree-sitter's stack.c pool: nodes are
- * reused by index, never freed individually, and links are indices so
- * the pool can reallocate without fixups.
+ * replaces all of it with one bump-allocated pool (clear() resets only
+ * the lanes the mask names) while keeping each lane's list ordered
+ * through the inline links. Same idiom as tree-sitter's stack.c pool:
+ * nodes are reused by index, never freed individually, and links are
+ * indices so the pool can reallocate without fixups.
  */
 class StackTxnArena
 {
@@ -89,17 +90,22 @@ class StackTxnArena
     {
         head_.fill(kNil);
         tail_.fill(kNil);
-        count_.fill(0);
     }
 
-    /** Drop every lane's list. O(lanes); node storage is retained. */
+    /**
+     * Drop every lane's list. O(lanes that held transactions); node
+     * storage is retained.
+     */
     void
     clear()
     {
         pool_.clear();
-        head_.fill(kNil);
-        tail_.fill(kNil);
-        count_.fill(0);
+        for (uint32_t mask = lanes_; mask != 0; mask &= mask - 1) {
+            uint32_t lane = static_cast<uint32_t>(__builtin_ctz(mask));
+            head_[lane] = kNil;
+            tail_[lane] = kNil;
+        }
+        lanes_ = 0;
     }
 
     /** Append @p txn to @p lane's list. */
@@ -109,15 +115,17 @@ class StackTxnArena
         SMS_DEBUG_ASSERT(lane < kWarpSize, "lane %u out of range", lane);
         uint32_t node = static_cast<uint32_t>(pool_.size());
         pool_.push_back({txn, kNil});
-        if (tail_[lane] == kNil)
+        if (tail_[lane] == kNil) {
             head_[lane] = node;
-        else
+            lanes_ |= 1u << lane;
+        } else {
             pool_[tail_[lane]].next = node;
+        }
         tail_[lane] = node;
-        ++count_[lane];
     }
 
-    uint32_t laneCount(uint32_t lane) const { return count_[lane]; }
+    /** Lanes whose list is non-empty, bit i for lane i. */
+    uint32_t laneMask() const { return lanes_; }
     uint32_t laneHead(uint32_t lane) const { return head_[lane]; }
     const Node &node(uint32_t index) const { return pool_[index]; }
 
@@ -129,7 +137,6 @@ class StackTxnArena
     laneTxns(uint32_t lane) const
     {
         StackTxnList out;
-        out.reserve(count_[lane]);
         for (uint32_t n = head_[lane]; n != kNil; n = pool_[n].next)
             out.push_back(pool_[n].txn);
         return out;
@@ -139,7 +146,7 @@ class StackTxnArena
     std::vector<Node> pool_;
     std::array<uint32_t, kWarpSize> head_;
     std::array<uint32_t, kWarpSize> tail_;
-    std::array<uint32_t, kWarpSize> count_;
+    uint32_t lanes_ = 0;
 };
 
 /**

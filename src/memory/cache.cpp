@@ -1,23 +1,24 @@
 /**
  * @file
- * Cache tag-model implementation.
+ * Cache tag-model implementation: construction, reset and tag-index
+ * deletion. The per-access chain (lookup, relink, fill) is inline in
+ * the header.
  *
  * Replacement state is an intrusive doubly-linked recency list per set
  * plus a fill counter; see the header for the equivalence argument
  * against the timestamp formulation of true LRU.
  *
- * Lookup is the simulator's single hottest function (one call per
- * modeled line access), so the fully-associative path uses a flat
- * linear-probe hash table with backward-shift deletion instead of
+ * Lookup is the simulator's single hottest operation (one per modeled
+ * line access), so the fully-associative path uses a flat linear-probe
+ * hash table (Fibonacci hashing, backward-shift deletion) instead of
  * std::unordered_map, and set indexing is shift/mask whenever the
- * geometry allows. Neither changes any replacement decision: the hash
- * table is a pure tag->way accelerator and the recency lists remain
- * the only replacement state.
+ * geometry allows and an exact multiply-based remainder otherwise.
+ * Neither changes any replacement decision: the hash table is a pure
+ * tag->way accelerator and the recency lists remain the only
+ * replacement state.
  */
 
 #include "src/memory/cache.hpp"
-
-#include "src/util/check.hpp"
 
 namespace sms {
 
@@ -70,12 +71,13 @@ Cache::Cache(const CacheConfig &config) : config_(config)
                    config.ways);
         num_ways_ = config.ways;
         // Modulo indexing supports non-power-of-two set counts (the
-        // 3 MB / 16-way L2 of Table I has 1536 sets).
+        // 384 KB / 16-way L2 of Table I has 192 sets).
         num_sets_ = static_cast<uint32_t>(total_lines / config.ways);
     }
     line_shift_ = log2OfPowerOfTwo(config.line_bytes);
     sets_pow2_ = isPowerOfTwo(num_sets_);
     set_mask_ = sets_pow2_ ? num_sets_ - 1 : 0;
+    set_magic_ = sets_pow2_ ? 0 : ~uint64_t{0} / num_sets_ + 1;
 
     size_t total = static_cast<size_t>(num_sets_) * num_ways_;
     tags_.assign(total, kEmptyTag);
@@ -86,204 +88,41 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     if (use_tag_index_) {
         // 4x ways keeps the load factor under 1/4: probe runs on the
         // hit path stay near one slot and the backward-shift walks on
-        // eviction stay short, for 12 B per way of extra table.
+        // eviction stay short. A fill briefly holds ways + 1 tags.
         uint32_t capacity = nextPowerOfTwo(num_ways_ * 4);
-        tag_keys_.assign(capacity, kEmptyTag);
-        tag_vals_.assign(capacity, 0);
-        tag_mask_ = capacity - 1;
+        slots_.assign(capacity, TagSlot{});
+        slot_mask_ = capacity - 1;
+        slot_shift_ = 64 - log2OfPowerOfTwo(capacity);
     }
-}
-
-uint32_t
-Cache::setIndex(Addr line_addr) const
-{
-    uint64_t line_index = line_addr >> line_shift_;
-    if (sets_pow2_)
-        return static_cast<uint32_t>(line_index) & set_mask_;
-    return static_cast<uint32_t>(line_index % num_sets_);
-}
-
-uint64_t
-Cache::hashTag(Addr line_addr)
-{
-    // splitmix64 finalizer over the line address: cheap, and strong
-    // enough that power-of-two-strided address streams (line-aligned
-    // buffers) don't cluster in the power-of-two-sized table.
-    uint64_t x = line_addr;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
-
-uint32_t
-Cache::tagSlotOf(Addr line_addr) const
-{
-    uint32_t slot = static_cast<uint32_t>(hashTag(line_addr)) & tag_mask_;
-    while (tag_keys_[slot] != line_addr && tag_keys_[slot] != kEmptyTag)
-        slot = (slot + 1) & tag_mask_;
-    return slot;
-}
-
-void
-Cache::tagInsert(Addr line_addr, uint32_t line_index)
-{
-    uint32_t slot = tagSlotOf(line_addr);
-    tag_keys_[slot] = line_addr;
-    tag_vals_[slot] = line_index;
 }
 
 void
 Cache::tagErase(Addr line_addr)
 {
-    uint32_t slot = tagSlotOf(line_addr);
-    if (tag_keys_[slot] == kEmptyTag)
-        return;
+    uint32_t slot = homeSlot(line_addr);
+    while (slots_[slot].tag != line_addr) {
+        SMS_ASSERT(slots_[slot].tag != kEmptyTag,
+                   "tag index lost resident line 0x%llx",
+                   static_cast<unsigned long long>(line_addr));
+        slot = (slot + 1) & slot_mask_;
+    }
     // Backward-shift deletion: walk the probe run after the freed slot
     // and pull back any entry whose home position precedes the hole, so
     // later lookups never hit a spurious empty slot mid-run.
     uint32_t hole = slot;
-    tag_keys_[hole] = kEmptyTag;
-    uint32_t cur = (slot + 1) & tag_mask_;
-    while (tag_keys_[cur] != kEmptyTag) {
-        uint32_t home =
-            static_cast<uint32_t>(hashTag(tag_keys_[cur])) & tag_mask_;
+    slots_[hole].tag = kEmptyTag;
+    uint32_t cur = (slot + 1) & slot_mask_;
+    while (slots_[cur].tag != kEmptyTag) {
+        uint32_t home = homeSlot(slots_[cur].tag);
         // Move cur into the hole iff the hole lies within cur's probe
         // path, i.e. the cyclic distance home->cur covers home->hole.
-        if (((cur - home) & tag_mask_) >= ((cur - hole) & tag_mask_)) {
-            tag_keys_[hole] = tag_keys_[cur];
-            tag_vals_[hole] = tag_vals_[cur];
-            tag_keys_[cur] = kEmptyTag;
+        if (((cur - home) & slot_mask_) >= ((cur - hole) & slot_mask_)) {
+            slots_[hole] = slots_[cur];
+            slots_[cur].tag = kEmptyTag;
             hole = cur;
         }
-        cur = (cur + 1) & tag_mask_;
+        cur = (cur + 1) & slot_mask_;
     }
-}
-
-uint32_t
-Cache::findLine(uint32_t set, Addr line_addr) const
-{
-    if (use_tag_index_) {
-        uint32_t slot = tagSlotOf(line_addr);
-        return tag_keys_[slot] == kEmptyTag ? kNoWay : tag_vals_[slot];
-    }
-    // Ways fill in ascending order and are never invalidated outside
-    // reset(), so every way below valid_ways holds a live tag: the scan
-    // covers at most two host cache lines of the flat tag array.
-    uint32_t base = set * num_ways_;
-    uint32_t filled = sets_[set].valid_ways;
-    for (uint32_t w = 0; w < filled; ++w) {
-        if (tags_[base + w] == line_addr)
-            return base + w;
-    }
-    return kNoWay;
-}
-
-// Recency links are packed (more_recent << 32) | less_recent.
-
-void
-Cache::unlink(SetState &set, uint32_t line_index)
-{
-    uint64_t links = links_[line_index];
-    uint32_t more = static_cast<uint32_t>(links >> 32);
-    uint32_t less = static_cast<uint32_t>(links);
-    if (more != kNoWay)
-        links_[more] = (links_[more] & 0xffffffff00000000ull) | less;
-    else
-        set.mru = less;
-    if (less != kNoWay)
-        links_[less] = (links_[less] & 0xffffffffull) |
-                       (static_cast<uint64_t>(more) << 32);
-    else
-        set.lru = more;
-    links_[line_index] = kNoLinks;
-}
-
-void
-Cache::touchFront(SetState &set, uint32_t line_index)
-{
-    if (set.mru == line_index)
-        return;
-    // A line that is linked but not the head always has a more-recent
-    // neighbour; a freshly-filled line (both links kNoWay) must not
-    // be unlinked or it would clobber the list head.
-    if (static_cast<uint32_t>(links_[line_index] >> 32) != kNoWay)
-        unlink(set, line_index);
-    links_[line_index] = (static_cast<uint64_t>(kNoWay) << 32) | set.mru;
-    if (set.mru != kNoWay)
-        links_[set.mru] = (links_[set.mru] & 0xffffffffull) |
-                          (static_cast<uint64_t>(line_index) << 32);
-    set.mru = line_index;
-    if (set.lru == kNoWay)
-        set.lru = line_index;
-}
-
-Cache::Result
-Cache::access(Addr line_addr, bool write, TrafficClass cls)
-{
-    SMS_ASSERT((line_addr & (config_.line_bytes - 1)) == 0,
-               "unaligned cache access 0x%llx",
-               static_cast<unsigned long long>(line_addr));
-    Result result;
-    if (write)
-        ++stats_.stores;
-    else
-        ++stats_.loads;
-
-    uint32_t set_idx = setIndex(line_addr);
-    SetState &set = sets_[set_idx];
-
-    // Hit path.
-    uint32_t found = findLine(set_idx, line_addr);
-    if (found != kNoWay) {
-        touchFront(set, found);
-        if (write)
-            setDirty(found, true);
-        result.hit = true;
-        return result;
-    }
-
-    if (write)
-        ++stats_.store_misses;
-    else
-        ++stats_.load_misses;
-    ++class_misses_[static_cast<int>(cls)];
-
-    // No-write-allocate caches write around on store misses.
-    if (write && !config_.allocate_on_store)
-        return result;
-
-    uint32_t victim_index;
-    if (set.valid_ways < num_ways_) {
-        // Invalid ways are consumed in ascending way order (matching
-        // the "first invalid way" rule of the timestamp scan).
-        victim_index = set_idx * num_ways_ + set.valid_ways;
-        ++set.valid_ways;
-    } else {
-        victim_index = set.lru;
-        SMS_ASSERT(victim_index != kNoWay, "full set with empty LRU list");
-        if (isDirty(victim_index)) {
-            result.evicted_dirty = true;
-            result.evicted_line = tags_[victim_index];
-            ++stats_.writebacks;
-        }
-        if (use_tag_index_)
-            tagErase(tags_[victim_index]);
-    }
-    tags_[victim_index] = line_addr;
-    setDirty(victim_index, write);
-    touchFront(set, victim_index);
-    if (use_tag_index_)
-        tagInsert(line_addr, victim_index);
-    return result;
-}
-
-bool
-Cache::probe(Addr line_addr) const
-{
-    return findLine(setIndex(line_addr), line_addr) != kNoWay;
 }
 
 void
@@ -294,8 +133,7 @@ Cache::reset()
     tags_.assign(tags_.size(), kEmptyTag);
     links_.assign(links_.size(), kNoLinks);
     dirty_.assign(dirty_.size(), 0);
-    if (use_tag_index_)
-        tag_keys_.assign(tag_keys_.size(), kEmptyTag);
+    slots_.assign(slots_.size(), TagSlot{});
 }
 
 } // namespace sms

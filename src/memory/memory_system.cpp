@@ -1,105 +1,47 @@
 /**
  * @file
- * Global-memory hierarchy implementation.
+ * Global-memory hierarchy implementation: construction and the L1-miss
+ * path. The per-line entry point is inline in the header.
  */
 
 #include "src/memory/memory_system.hpp"
 
 #include "src/stats/timeline.hpp"
-#include "src/util/check.hpp"
 
 namespace sms {
 
 MemorySystem::MemorySystem(const MemoryHierarchyConfig &config,
                            uint32_t num_sms)
-    : config_(config)
+    : config_(config), l2_(config.l2), dram_(config.dram)
 {
     SMS_ASSERT(num_sms > 0, "need at least one SM");
     SMS_ASSERT(config.l1_ports > 0 && config.l2_ports > 0,
                "port widths must be positive");
-    l1s_.reserve(num_sms);
-    for (uint32_t i = 0; i < num_sms; ++i)
-        l1s_.push_back(std::make_unique<Cache>(config.l1));
-    l1_port_free_.resize(num_sms, 0);
-    l1_slot_credit_.resize(num_sms, 0);
-    l2_ = std::make_unique<Cache>(config.l2);
-    dram_ = std::make_unique<Dram>(config.dram);
+    sms_.assign(num_sms, SmPath{Cache(config.l1)});
+}
+
+void
+MemorySystem::l2Writeback(Cycle at, Addr line_addr, TrafficClass cls,
+                          bool dram_on_miss)
+{
+    Cycle start = l2PortGrant(at);
+    Cache::Result r = l2_.access(line_addr, true, cls);
+    if (dram_on_miss && !r.hit)
+        dram_.access(start, true, cls);
+    if (r.evicted_dirty)
+        dram_.access(start, true, cls);
 }
 
 Cycle
-MemorySystem::l2PortGrant(Cycle at)
+MemorySystem::accessBeyondL1(Addr line_addr, bool write, TrafficClass cls,
+                             Cycle now, Cycle start,
+                             MemAccessBreakdown *breakdown)
 {
-    Cycle start = at > l2_port_free_ ? at : l2_port_free_;
-    l2_port_free_ = start + 1;
-    if (l2_slot_credit_ + 1 < config_.l2_ports) {
-        ++l2_slot_credit_;
-        l2_port_free_ = start;
-    } else {
-        l2_slot_credit_ = 0;
-    }
-    return start;
-}
-
-Cycle
-MemorySystem::accessLine(uint32_t sm, Addr line_addr, bool write,
-                         TrafficClass cls, Cycle now,
-                         MemAccessBreakdown *breakdown)
-{
-    SMS_ASSERT(sm < l1s_.size(), "SM index %u out of range", sm);
-    SMS_ASSERT(line_addr % kLineBytes == 0, "unaligned line address");
-    if (breakdown)
-        *breakdown = MemAccessBreakdown{};
-
-    // L1 port arbitration: a multi-ported pipeline modeled as a
-    // running slot counter (start cycle never runs ahead of the
-    // backlog the port can absorb).
-    Cycle start = now > l1_port_free_[sm] ? now : l1_port_free_[sm];
-    l1_port_free_[sm] = start + 1;
-    // Multi-port: allow l1_ports lookups per cycle by crediting back.
-    if (l1_slot_credit_[sm] + 1 < config_.l1_ports) {
-        ++l1_slot_credit_[sm];
-        l1_port_free_[sm] = start;
-    } else {
-        l1_slot_credit_[sm] = 0;
-    }
-
-    Cache::Result l1r = l1s_[sm]->access(line_addr, write, cls);
-    if (l1r.hit) {
-        if (l1r.evicted_dirty) {
-            // Cannot happen on a hit, but keep the invariant visible.
-            panic("dirty eviction reported on an L1 hit");
-        }
-        if (write) {
-            // Write-through: the store also updates the L2 (bandwidth
-            // only; stores never gate progress).
-            Cycle wt_start = l2PortGrant(start);
-            Cache::Result wt = l2_->access(line_addr, true, cls);
-            if (wt.evicted_dirty)
-                dram_->access(wt_start, true, cls);
-        }
-        if (breakdown) {
-            breakdown->port_wait = start - now;
-            breakdown->hit_base = config_.l1_latency;
-        }
-        return start + config_.l1_latency;
-    }
-
-    // L1 writeback of the evicted dirty line: consumes L2 (and possibly
-    // DRAM) bandwidth but does not delay the demand request.
-    if (l1r.evicted_dirty) {
-        Cycle wb_start = l2PortGrant(start);
-        Cache::Result wb = l2_->access(l1r.evicted_line, true, cls);
-        if (!wb.hit)
-            dram_->access(wb_start, true, cls);
-        if (wb.evicted_dirty)
-            dram_->access(wb_start, true, cls);
-    }
-
     // Demand request goes to the L2.
     Cycle l2_start = l2PortGrant(start);
-    Cache::Result l2r = l2_->access(line_addr, write, cls);
+    Cache::Result l2r = l2_.access(line_addr, write, cls);
     if (l2r.evicted_dirty)
-        dram_->access(l2_start, true, cls);
+        dram_.access(l2_start, true, cls);
     if (l2r.hit) {
         if (timelineOn(TimelineCategory::Cache))
             timelineSpan(TimelineCategory::Cache, "l1_miss", start,
@@ -117,7 +59,7 @@ MemorySystem::accessLine(uint32_t sm, Addr line_addr, bool write,
     // L2 miss: fetch the line from DRAM. A store that misses still
     // fetches (write-allocate).
     Cycle dram_queue = 0;
-    Cycle data_ready = dram_->access(l2_start, false, cls, &dram_queue);
+    Cycle data_ready = dram_.access(l2_start, false, cls, &dram_queue);
     Cycle done = data_ready + (config_.l2_latency - config_.l1_latency);
     if (timelineOn(TimelineCategory::Cache))
         timelineSpan(TimelineCategory::Cache, "l2_miss", start,
@@ -128,22 +70,6 @@ MemorySystem::accessLine(uint32_t sm, Addr line_addr, bool write,
             config_.l2_latency - config_.l1_latency;
         breakdown->dram_queue = dram_queue;
         breakdown->l2_miss_serve = done - now - breakdown->total();
-    }
-    return done;
-}
-
-Cycle
-MemorySystem::accessRange(uint32_t sm, Addr addr, uint64_t bytes,
-                          bool write, TrafficClass cls, Cycle now)
-{
-    uint32_t lines = linesCovering(addr, bytes);
-    Cycle done = now;
-    Addr line = lineAlign(addr);
-    for (uint32_t i = 0; i < lines; ++i) {
-        Cycle c = accessLine(sm, line + i * (Addr)kLineBytes, write, cls,
-                             now);
-        if (c > done)
-            done = c;
     }
     return done;
 }

@@ -29,15 +29,17 @@ SharedMemory::conflictPasses(const std::vector<SharedLaneRequest> &lanes)
     //
     // Each request covers the contiguous word range [addr / 4,
     // addr / 4 + bytes / 4), so the distinct words are the union of at
-    // most one range per lane: sort the ranges in fixed scratch, merge
-    // overlaps, and count each merged range's words per bank. No heap
-    // allocation, and exact for requests of any width.
+    // most one range per lane: insertion-sort the ranges into fixed
+    // scratch as they are read (lanes usually arrive in address order,
+    // so each insert is one compare), merge overlaps, and count each
+    // merged range's words per bank. No heap allocation, and exact for
+    // requests of any width.
     struct WordRange
     {
         Addr begin;
         Addr end;
     };
-    std::array<WordRange, kSharedMaxLanes> ranges{};
+    std::array<WordRange, kSharedMaxLanes> ranges; // [0, n) is live
     size_t n = 0;
     for (const SharedLaneRequest &req : lanes) {
         SMS_ASSERT(req.bytes % kBankWordBytes == 0,
@@ -45,14 +47,14 @@ SharedMemory::conflictPasses(const std::vector<SharedLaneRequest> &lanes)
         if (req.bytes == 0)
             continue;
         Addr first = req.addr / kBankWordBytes;
-        ranges[n++] = {first, first + req.bytes / kBankWordBytes};
+        size_t k = n++;
+        for (; k > 0 && ranges[k - 1].begin > first; --k)
+            ranges[k] = ranges[k - 1];
+        ranges[k] = {first, first + req.bytes / kBankWordBytes};
     }
-    std::sort(ranges.begin(), ranges.begin() + n,
-              [](const WordRange &a, const WordRange &b) {
-                  return a.begin < b.begin;
-              });
 
     uint32_t full_rows = 0;
+    uint32_t most_extra = 0;
     std::array<uint32_t, kSharedBanks> extra{};
     for (size_t i = 0; i < n;) {
         Addr begin = ranges[i].begin;
@@ -64,11 +66,9 @@ SharedMemory::conflictPasses(const std::vector<SharedLaneRequest> &lanes)
         Addr len = end - begin;
         full_rows += static_cast<uint32_t>(len / kSharedBanks);
         for (Addr w = begin; w < begin + len % kSharedBanks; ++w)
-            ++extra[w % kSharedBanks];
+            most_extra = std::max(most_extra, ++extra[w % kSharedBanks]);
     }
-    uint32_t passes =
-        full_rows + *std::max_element(extra.begin(), extra.end());
-    return std::max(passes, 1u);
+    return std::max(full_rows + most_extra, 1u);
 }
 
 Cycle

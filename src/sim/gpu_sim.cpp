@@ -240,10 +240,24 @@ simulateJobs(const WideBvh &bvh, const WarpJobList &jobs,
         for (uint32_t s = 0; s < config.max_warps_per_rt; ++s)
             sm.free_slots.push_back(config.max_warps_per_rt - 1 - s);
 
-    // Event queue: (cycle, sequence, in-flight index). The sequence
-    // breaks ties deterministically.
-    using Event = std::tuple<Cycle, uint64_t, uint32_t>;
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+    // Event queue: min-heap on (cycle, sequence); the sequence breaks
+    // ties deterministically and is unique, so the in-flight index
+    // never takes part in the order.
+    struct Event
+    {
+        Cycle cycle;
+        uint64_t seq;
+        uint32_t idx;
+    };
+    struct EventAfter
+    {
+        bool
+        operator()(const Event &a, const Event &b) const
+        {
+            return a.cycle != b.cycle ? a.cycle > b.cycle : a.seq > b.seq;
+        }
+    };
+    std::priority_queue<Event, std::vector<Event>, EventAfter> events;
     uint64_t seq = 0;
 
     std::vector<InFlight> inflight;
@@ -314,7 +328,7 @@ simulateJobs(const WideBvh &bvh, const WarpJobList &jobs,
                 traced ? fl.collector.get() : nullptr, &result.depth_hist,
                 links_p);
         }
-        events.emplace(cycle, seq++, idx);
+        events.push({cycle, seq++, idx});
     };
 
     auto sm_of = [&](uint32_t job_index) {
@@ -362,14 +376,14 @@ simulateJobs(const WideBvh &bvh, const WarpJobList &jobs,
             Cycle done = fl.sim->stepStack(cycle);
             SMS_ASSERT(done >= cycle, "time went backwards");
             fl.in_stack_phase = false;
-            events.emplace(done, seq++, idx);
+            events.push({done, seq++, idx});
             continue;
         }
         if (!fl.sim->done()) {
             Cycle op_done = fl.sim->stepFetch(cycle);
             SMS_ASSERT(op_done >= cycle, "time went backwards");
             fl.in_stack_phase = true;
-            events.emplace(op_done, seq++, idx);
+            events.push({op_done, seq++, idx});
             continue;
         }
 

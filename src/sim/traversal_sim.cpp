@@ -105,19 +105,17 @@ TraversalSim::stepFetch(Cycle now)
     SMS_ASSERT(!done(), "step on completed job");
     ++counters_.steps;
 
-    bool has_internal = false;
-    bool has_leaf = false;
-    uint32_t max_leaf_prims = 0;
-    cursor_.fetchPhase(fetch_lines_, has_internal, has_leaf,
-                       max_leaf_prims);
-
     // The warp waits for the slowest line; accounting charges the fetch
     // window to the *critical* line's latency split (first line reaching
     // the maximum, matching std::max's keep-first tie behaviour). Every
-    // other line's latency is hidden under it and charged nowhere.
+    // other line's latency is hidden under it and charged nowhere. Each
+    // line issues as soon as the tape yields it.
     Cycle fetch_done = now;
     MemAccessBreakdown crit{};
-    for (uint64_t packed : fetch_lines_) {
+    const uint64_t line_count = cursor_.fetchCount();
+    uint64_t line_index = 0;
+    for (uint64_t i = 0; i < line_count; ++i) {
+        uint64_t packed = cursor_.fetchLine(line_index);
         MemAccessBreakdown bd;
         Cycle c = mem_.accessLine(sm_, fetchLineAddr(packed), false,
                                   fetchLineClass(packed), now, &bd);
@@ -126,6 +124,10 @@ TraversalSim::stepFetch(Cycle now)
             crit = bd;
         }
     }
+    bool has_internal = false;
+    bool has_leaf = false;
+    uint32_t max_leaf_prims = 0;
+    cursor_.fetchOp(has_internal, has_leaf, max_leaf_prims);
     if (fetch_done > now) {
         if (cycleAccountingChecksEnabled())
             SMS_ASSERT(crit.total() == fetch_done - now,
@@ -177,7 +179,7 @@ TraversalSim::stepFetch(Cycle now)
     if (timelineOn(TimelineCategory::Sim)) {
         if (fetch_done > now)
             timelineSpan(TimelineCategory::Sim, "fetch", now,
-                         fetch_done - now, fetch_lines_.size(), "lines");
+                         fetch_done - now, line_count, "lines");
         if (op_latency > 0)
             timelineSpan(TimelineCategory::Sim, "intersect", fetch_done,
                          op_latency);
@@ -389,23 +391,24 @@ TraversalSim::runStackRounds(Cycle start)
     chain_start_ = start;
     if (txn_arena_.totalCount() == 0)
         return start;
-    // Round r takes each lane's r-th transaction: walk all 32 lists in
-    // lock-step through one cursor per lane (the arena's inline links
-    // preserve per-lane order; lanes advance in ascending id within a
-    // round, as the flat per-lane lists did).
+    // Round r takes each lane's r-th transaction: walk the lanes'
+    // lists in lock-step through one cursor per lane (the arena's
+    // inline links preserve per-lane order; lanes advance in ascending
+    // id within a round, as the flat per-lane lists did). A lane whose
+    // list ran out leaves the pending mask, so a round visits only the
+    // lanes that still hold transactions, and rounds end with it.
     uint32_t cursor[kWarpSize];
-    size_t max_len = 0;
-    for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
+    uint32_t pending = txn_arena_.laneMask();
+    for (uint32_t mask = pending; mask != 0; mask &= mask - 1) {
+        uint32_t lane = static_cast<uint32_t>(__builtin_ctz(mask));
         cursor[lane] = txn_arena_.laneHead(lane);
-        max_len = std::max(max_len,
-                           static_cast<size_t>(txn_arena_.laneCount(lane)));
     }
 
     Cycle t = start;
     Cycle last_store_done = start;
     std::vector<SharedLaneRequest> &shared_loads = shared_loads_;
     std::vector<SharedLaneRequest> &shared_stores = shared_stores_;
-    for (size_t round = 0; round < max_len; ++round) {
+    while (pending != 0) {
         shared_loads.clear();
         shared_stores.clear();
         Cycle round_begin = t;
@@ -413,11 +416,12 @@ TraversalSim::runStackRounds(Cycle start)
         // StackTxnOrigin's declaration order is the round-folding
         // priority (ForcedFlush > BorrowChain > Spill > Refill).
         int origin = -1;
-        for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
-            if (cursor[lane] == StackTxnArena::kNil)
-                continue;
+        for (uint32_t mask = pending; mask != 0; mask &= mask - 1) {
+            uint32_t lane = static_cast<uint32_t>(__builtin_ctz(mask));
             const StackTxnArena::Node &node = txn_arena_.node(cursor[lane]);
             cursor[lane] = node.next;
+            if (node.next == StackTxnArena::kNil)
+                pending &= ~(1u << lane);
             const StackTxn &txn = node.txn;
             if (static_cast<int>(txn.origin) > origin)
                 origin = static_cast<int>(txn.origin);

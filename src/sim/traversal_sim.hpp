@@ -177,11 +177,8 @@ class TraversalSim
     // Per-step scratch buffers. The step functions run once per
     // traversal iteration of every warp job in a sweep (hundreds of
     // millions of calls); reusing these keeps the hot loops free of
-    // heap allocation. The fetch list holds packed
-    // (line_index << 2) | class entries — the tape's wire format — and
-    // the per-lane transaction lists live in one pooled arena whose
-    // clear() is O(1) per lane.
-    FetchLineList fetch_lines_;
+    // heap allocation. The per-lane transaction lists live in one
+    // pooled arena whose clear() is O(1) per lane.
     StackTxnArena txn_arena_;
     std::vector<SharedLaneRequest> shared_loads_;
     std::vector<SharedLaneRequest> shared_stores_;

@@ -239,24 +239,34 @@ class TapeCursor
 
     const JobTape *tape() const { return tape_; }
 
-    /** Inverse of TapeWriter::fetchPhase. */
-    void
-    fetchPhase(FetchLineList &lines, bool &has_internal, bool &has_leaf,
-               uint32_t &max_leaf_prims)
+    // The inverse of TapeWriter::fetchPhase comes in three calls, so
+    // replay issues each fetch line as it decodes it: fetchCount(),
+    // then fetchLine() that many times, then fetchOp().
+
+    /** Number of fetch lines of the step that starts here. */
+    uint64_t fetchCount() { return varint(); }
+
+    /**
+     * Next packed fetch line of the step. @p idx carries the running
+     * line index between calls; start it at 0.
+     */
+    uint64_t
+    fetchLine(uint64_t &idx)
     {
-        lines.clear();
-        uint64_t count = varint();
-        uint64_t idx = 0;
-        for (uint64_t i = 0; i < count; ++i) {
-            uint64_t v = varint();
-            // Two bits hold the class but only kTrafficClassCount values
-            // exist; replay indexes per-class counters with it.
-            SMS_ASSERT((v & 3) < kTrafficClassCount,
-                       "traversal tape fetch line with traffic class %u",
-                       static_cast<unsigned>(v & 3));
-            idx += v >> 2;
-            lines.push_back((idx << 2) | (v & 3));
-        }
+        uint64_t v = varint();
+        // Two bits hold the class but only kTrafficClassCount values
+        // exist; replay indexes per-class counters with it.
+        SMS_ASSERT((v & 3) < kTrafficClassCount,
+                   "traversal tape fetch line with traffic class %u",
+                   static_cast<unsigned>(v & 3));
+        idx += v >> 2;
+        return (idx << 2) | (v & 3);
+    }
+
+    /** The step's intersection-latency inputs, after its last line. */
+    void
+    fetchOp(bool &has_internal, bool &has_leaf, uint32_t &max_leaf_prims)
+    {
         uint64_t op = varint();
         has_internal = (op & 1) != 0;
         has_leaf = (op & 2) != 0;

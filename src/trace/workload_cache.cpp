@@ -13,6 +13,7 @@
 
 #include "src/trace/workload_cache.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -171,6 +172,37 @@ readBvh(CacheReader &r, WideBvh &bvh)
     uint64_t node_count = r.count(kNodeRecordBytes);
     if (!r.ok())
         return false;
+    // Traversal follows every reference without a bounds check, so a
+    // reference is checked as it is read. The builder lays nodes out in
+    // preorder, one parent each: an internal root is node 0, and an
+    // internal child names a node after its parent's, which no other
+    // reference names, so every path ends and no node is reached
+    // twice. A leaf range must lie in the primitive-index array, whose
+    // size is known only after the nodes (prim_end tracks the furthest
+    // range end until then). Any other kind is corrupt. Internal and
+    // leaf references mix unpredictably, so the check is branch-free:
+    // its verdict accumulates in bad_ref, and every child reference
+    // marks a slot of `named`, the node it names or slot 0 (the root's,
+    // which no child may name) when it names none. A node named twice
+    // leaves fewer marked slots than internal child references.
+    uint64_t prim_end = 0;
+    bool bad_ref = false;
+    std::vector<uint8_t> named(std::max<uint64_t>(node_count, 1), 0);
+    uint64_t child_nodes = 0;
+    // The node an internal @p ref names, in [first, end), or 0.
+    auto check_ref = [&](ChildRef ref, bool live, uint64_t first,
+                         uint64_t end) -> uint64_t {
+        bool internal = live & ref.isInternal();
+        bool leaf = live & ref.isLeaf();
+        uint64_t index = ref.nodeIndex();
+        bool fresh = internal & (index >= first) & (index < end);
+        bad_ref |= (live & !internal & !leaf) | (internal & !fresh);
+        uint64_t range_end = uint64_t{ref.primOffset()} + ref.primCount();
+        prim_end = std::max(prim_end, leaf ? range_end : 0);
+        return index * fresh;
+    };
+    // An invalid (kind 0) root is an empty BVH.
+    check_ref(root, root.valid(), 0, std::min<uint64_t>(node_count, 1));
     std::vector<WideNode> nodes;
     nodes.reserve(node_count);
     for (uint64_t i = 0; r.ok() && i < node_count; ++i) {
@@ -181,16 +213,30 @@ readBvh(CacheReader &r, WideBvh &bvh)
             node.children[c] = ChildRef::fromBits(r.u32());
         }
         node.child_count = r.u8();
+        bad_ref |= node.child_count > kWideBvhWidth;
+        for (int c = 0; c < kWideBvhWidth; ++c) {
+            uint64_t child = check_ref(node.children[c], c < node.child_count,
+                                       i + 1, node_count);
+            named[child] = 1;
+            child_nodes += child != 0;
+        }
         nodes.push_back(node);
     }
+    bad_ref |= static_cast<uint64_t>(std::count(named.begin() + 1,
+                                                named.end(), 1)) != child_nodes;
     uint64_t index_count = r.count(4);
-    if (!r.ok())
+    if (!r.ok() || bad_ref || prim_end > index_count)
         return false;
+    // The indices name the scene's primitives, which number exactly
+    // index_count (Workload::scene() checks it).
     std::vector<uint32_t> indices;
     indices.reserve(index_count);
-    for (uint64_t i = 0; r.ok() && i < index_count; ++i)
+    uint64_t prim_bound = 0; // one past the largest index
+    for (uint64_t i = 0; r.ok() && i < index_count; ++i) {
         indices.push_back(r.u32());
-    if (!r.ok())
+        prim_bound = std::max(prim_bound, uint64_t{indices.back()} + 1);
+    }
+    if (!r.ok() || prim_bound > index_count)
         return false;
     bvh = WideBvh::fromParts(kWideBvhWidth, std::move(nodes),
                              std::move(indices), root);
@@ -248,6 +294,12 @@ readJobs(CacheReader &r, WarpJobList &jobs)
         job.warp_id = r.u32();
         job.segment = r.u32();
         job.parent = r.i32();
+        // Replay indexes by job id and parent, and sizes a bitmap by
+        // warp id: ids are positions, parents precede their children,
+        // and warp ids are dense (every warp has a job).
+        if (job.job_id != j || job.warp_id >= count ||
+            (job.parent >= 0 && static_cast<uint64_t>(job.parent) >= j))
+            return false;
         job.any_hit = r.u8() != 0;
         for (uint32_t i = 0; i < kWarpSize; ++i) {
             job.active[i] = r.u8() != 0;

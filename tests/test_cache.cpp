@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
+#include "src/bvh/wide_bvh.hpp"
 #include "src/memory/cache.hpp"
 #include "src/memory/dram.hpp"
 #include "src/memory/request.hpp"
@@ -95,16 +97,86 @@ class ReferenceCache
     uint64_t clock_ = 0;
 };
 
+/** Draws the next line address of a crossCheck() stream. */
+using LineDraw = std::function<Addr(Pcg32 &)>;
+
+/** Uniform over the first @p lines line addresses. */
+LineDraw
+uniformLines(Addr lines)
+{
+    return [lines](Pcg32 &rng) {
+        return static_cast<Addr>(rng.nextU32() % lines) * kLineBytes;
+    };
+}
+
+/**
+ * A line of one of the regions the simulator addresses: BVH nodes,
+ * triangles, and the per-job local spill frames, 64 KB apart from
+ * 2^32 (kLocalSpillBase in gpu_sim.cpp). 1,712 lines in all, over three
+ * times the largest L1.
+ */
+Addr
+simulatorLine(Pcg32 &rng)
+{
+    switch (rng.nextU32() % 3) {
+      case 0:
+        return WideBvh::kNodeBase +
+               static_cast<Addr>(rng.nextU32() % 700) * kLineBytes;
+      case 1:
+        return WideBvh::kTriBase +
+               static_cast<Addr>(rng.nextU32() % 500) * kLineBytes;
+      default:
+        return (Addr{1} << 32) +
+               static_cast<Addr>(rng.nextU32() % 64) * 0x10000 +
+               static_cast<Addr>(rng.nextU32() % 8) * kLineBytes;
+    }
+}
+
+/**
+ * simulatorLine(), or a line at or past 2^39, where the line index no
+ * longer fits 32 bits: 4,096 lines straddling that boundary, or any
+ * 64-bit line address.
+ */
+Addr
+wideLine(Pcg32 &rng)
+{
+    switch (rng.nextU32() % 4) {
+      case 0:
+      case 1:
+        return simulatorLine(rng);
+      case 2:
+        return (Addr{1} << 39) - 1024 * kLineBytes +
+               static_cast<Addr>(rng.nextU32() % 4096) * kLineBytes;
+      default: {
+        Addr hi = rng.nextU32();
+        return lineAlign((hi << 32) | rng.nextU32());
+      }
+    }
+}
+
+/**
+ * Drive Cache and the reference with one stream of @p accesses and
+ * require the same outcome on each. One drawn line in eight is then
+ * accessed 1-6 more times in a row, a quarter of them stores: repeated
+ * hits and write hits on the MRU line, which skip the relink.
+ */
 void
-crossCheck(const CacheConfig &config, uint32_t accesses, Addr addr_lines,
-           uint64_t seed)
+crossCheck(const CacheConfig &config, uint32_t accesses,
+           const LineDraw &draw, uint64_t seed)
 {
     Cache cache(config);
     ReferenceCache ref(config);
     Pcg32 rng(seed);
+    Addr addr = 0;
+    uint32_t repeats = 0;
     for (uint32_t i = 0; i < accesses; ++i) {
-        Addr addr = static_cast<Addr>(rng.nextU32() % addr_lines) *
-                    config.line_bytes;
+        if (repeats > 0) {
+            --repeats;
+        } else {
+            addr = draw(rng);
+            if (rng.nextU32() % 8 == 0)
+                repeats = 1 + rng.nextU32() % 6;
+        }
         bool write = rng.nextU32() % 4 == 0;
         Cache::Result got =
             cache.access(addr, write, TrafficClass::Node);
@@ -122,17 +194,31 @@ TEST(Cache, RecencyListMatchesTimestampLruFullyAssociative)
 {
     // Table I L1D geometry: fully associative, the hashed-tag-index
     // fast path.
-    crossCheck({64 * 1024, 0, kLineBytes, false}, 50000, 1500, 1);
-    crossCheck({64 * 1024, 0, kLineBytes, true}, 50000, 1500, 2);
+    crossCheck({64 * 1024, 0, kLineBytes, false}, 50000,
+               uniformLines(1500), 1);
+    crossCheck({64 * 1024, 0, kLineBytes, true}, 50000,
+               uniformLines(1500), 2);
+    // The L1Ds the sweeps build: 64 KB, and 60 / 56 KB after an SH_4 /
+    // SH_8 carve-out; no-write-allocate, over the simulator's address
+    // regions.
+    uint64_t seed = 10;
+    for (uint64_t kb : {64, 60, 56})
+        crossCheck({kb * 1024, 0, kLineBytes, false}, 60000,
+                   simulatorLine, seed++);
 }
 
 TEST(Cache, RecencyListMatchesTimestampLruSetAssociative)
 {
     // Table I L2 geometry: 16-way, non-power-of-two set count.
-    crossCheck({3 * 1024 * 1024 / 8, 16, kLineBytes, true}, 50000, 9000,
-               3);
+    crossCheck({3 * 1024 * 1024 / 8, 16, kLineBytes, true}, 50000,
+               uniformLines(9000), 3);
+    // The same L2 on line indices past 32 bits: a set index that
+    // truncated them would file lines in the wrong set.
+    crossCheck({3 * 1024 * 1024 / 8, 16, kLineBytes, true}, 60000,
+               wideLine, 5);
     // Tiny 2-way cache: maximal eviction churn.
-    crossCheck({4 * kLineBytes, 2, kLineBytes, true}, 20000, 13, 4);
+    crossCheck({4 * kLineBytes, 2, kLineBytes, true}, 20000,
+               uniformLines(13), 4);
 }
 
 TEST(LineMath, AlignAndCover)

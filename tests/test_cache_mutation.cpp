@@ -21,15 +21,23 @@
  * larger than 64 times the pristine file (a global operator new records
  * the largest request). One mutant of each kind then goes through the
  * production path, which must count the failure and rebuild the file.
+ *
+ * A resealed snapshot may also name what it does not hold: a node, a
+ * primitive range or index, a job or a warp past the end of its array.
+ * Replay follows those references unchecked, so a set of such mutants,
+ * each built at a reference field the walk locates, must be counted
+ * failures too.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <new>
 #include <string>
 #include <unistd.h>
@@ -211,10 +219,48 @@ class FieldWalker
     Fields fields_;
 };
 
-/** The fields of a .wkld v2 snapshot, through its last body byte. */
-Fields
-snapshotFields(const std::string &file)
+/** Where snapshotFields() found the references a snapshot holds. */
+struct SnapshotRefs
 {
+    size_t root = 0;                 ///< the root reference
+    uint64_t nodes = 0;              ///< node count
+    std::vector<size_t> node_starts; ///< each node's first byte
+    std::vector<size_t> leaf_refs;   ///< every leaf child reference
+    /** Every internal child reference: where, in which node, to which. */
+    struct Internal
+    {
+        size_t at;
+        uint32_t parent;
+        uint32_t target;
+    };
+    std::vector<Internal> internal_refs;
+    size_t first_index = 0;          ///< primitive index 0
+    uint64_t indices = 0;            ///< primitive-index count
+    std::vector<size_t> job_starts;  ///< each job's job_id field
+};
+
+/** Offset of child reference @p c in the node record at @p node. */
+size_t
+childRefAt(size_t node, int c)
+{
+    return node + static_cast<size_t>(c) * (6 * 4 + 4) + 6 * 4;
+}
+
+/** Offset of the child count in the node record at @p node. */
+size_t
+childCountAt(size_t node)
+{
+    return node + kWideBvhWidth * (6 * 4 + 4);
+}
+
+/**
+ * The fields of a .wkld v2 snapshot, through its last body byte; with
+ * @p refs, also where its references are.
+ */
+Fields
+snapshotFields(const std::string &file, SnapshotRefs *refs = nullptr)
+{
+    SnapshotRefs found;
     FieldWalker w(file);
     w.skip(8); // magic
     w.u32();   // version
@@ -225,17 +271,37 @@ snapshotFields(const std::string &file)
         w.u32(); // width, height, spp, max bounces
     w.u8();      // shadow rays
     w.u64();     // seed
-    w.u32();     // root reference
+    found.root = w.offset();
+    w.u32(); // root reference
     uint64_t nodes = w.size(8);
+    found.nodes = nodes;
     for (uint64_t n = 0; n < nodes; ++n) {
+        found.node_starts.push_back(w.offset());
+        std::vector<size_t> leaves;
+        std::vector<SnapshotRefs::Internal> internals;
         for (int c = 0; c < kWideBvhWidth; ++c) {
             w.vec3();
             w.vec3();
-            w.u32();
+            size_t at = w.offset();
+            ChildRef ref = ChildRef::fromBits(w.u32());
+            if (ref.isLeaf())
+                leaves.push_back(at);
+            if (ref.isInternal())
+                internals.push_back({at, static_cast<uint32_t>(n),
+                                     ref.nodeIndex()});
         }
-        w.u8();
+        uint8_t children = w.u8();
+        size_t live_end = childRefAt(found.node_starts.back(), children);
+        for (size_t at : leaves)
+            if (at < live_end)
+                found.leaf_refs.push_back(at);
+        for (const SnapshotRefs::Internal &ref : internals)
+            if (ref.at < live_end)
+                found.internal_refs.push_back(ref);
     }
     uint64_t indices = w.size(8);
+    found.first_index = w.offset();
+    found.indices = indices;
     for (uint64_t i = 0; i < indices; ++i)
         w.u32();
     uint64_t width = w.size(4);
@@ -245,6 +311,7 @@ snapshotFields(const std::string &file)
     w.u64(); // rays
     uint64_t jobs = w.size(8);
     for (uint64_t j = 0; j < jobs; ++j) {
+        found.job_starts.push_back(w.offset());
         for (int i = 0; i < 4; ++i)
             w.u32(); // job id, warp id, segment, parent
         w.u8();      // any hit
@@ -262,7 +329,17 @@ snapshotFields(const std::string &file)
         }
     }
     EXPECT_EQ(w.offset(), file.size() - 8) << "walker out of step";
+    if (refs)
+        *refs = found;
     return w.fields();
+}
+
+/** @p file with the u32 at @p at replaced by @p value. */
+std::string
+withU32(std::string file, size_t at, uint32_t value)
+{
+    std::memcpy(&file[at], &value, sizeof value);
+    return file;
 }
 
 /** The fields of a .tape, through its last body byte. */
@@ -453,6 +530,121 @@ TEST(CacheMutation, SnapshotMutantsAreCountedFailures)
         ASSERT_TRUE(readFile(reader.path, rewritten));
         EXPECT_TRUE(rewritten == pristine);
     }
+}
+
+TEST(CacheMutation, SnapshotReferenceMutantsAreCountedFailures)
+{
+    // Resealed snapshots whose BVH or job references name something the
+    // file does not hold, or a BVH node out of preorder (a cycle or a
+    // node with two parents): each passes the checksum, and replay would
+    // follow the reference unchecked or without end, so the parser must
+    // reject it.
+    TempDir dir("wkld_refs");
+    auto w = smallBunny();
+    ASSERT_TRUE(saveWorkloadSnapshot(dir.path(), *w, w->profile, w->params));
+    Reader reader;
+    reader.path =
+        workloadSnapshotPath(dir.path(), w->id, w->profile, w->params);
+    reader.load = [&] {
+        return loadWorkloadSnapshot(dir.path(), w->id, w->profile,
+                                    w->params) != nullptr;
+    };
+    reader.failures = [] { return workloadCacheStats().failures; };
+    std::string pristine;
+    ASSERT_TRUE(readFile(reader.path, pristine));
+    SnapshotRefs refs;
+    snapshotFields(pristine, &refs);
+    ASSERT_GT(refs.nodes, 1u);
+    ASSERT_FALSE(refs.leaf_refs.empty());
+    ASSERT_GT(refs.job_starts.size(), 1u);
+    ASSERT_TRUE(reader.load());
+
+    const uint32_t nodes = static_cast<uint32_t>(refs.nodes);
+    const uint32_t indices = static_cast<uint32_t>(refs.indices);
+    const uint32_t jobs = static_cast<uint32_t>(refs.job_starts.size());
+    const size_t node0 = refs.node_starts[0];
+    std::string seven_children = pristine;
+    seven_children[childCountAt(node0)] = 7;
+    // For the preorder mutants: an internal reference in a node below
+    // the root (grandchild) and the reference naming that node
+    // (parent_ref); and a reference (second) that could name the first
+    // internal reference's target without pointing backward.
+    using Internal = SnapshotRefs::Internal;
+    const auto &internal = refs.internal_refs;
+    auto grandchild =
+        std::find_if(internal.begin(), internal.end(),
+                     [](const Internal &r) { return r.parent > 0; });
+    ASSERT_NE(grandchild, internal.end());
+    auto parent_ref = std::find_if(
+        internal.begin(), internal.end(),
+        [&](const Internal &r) { return r.target == grandchild->parent; });
+    ASSERT_NE(parent_ref, internal.end());
+    const Internal &first = internal.front();
+    auto second = std::find_if(internal.begin(), internal.end(),
+                               [&](const Internal &r) {
+                                   return r.target != first.target &&
+                                          r.parent < first.target;
+                               });
+    ASSERT_NE(second, internal.end());
+    const std::pair<const char *, std::string> mutants[] = {
+        {"root names internal node 0x3fffffff",
+         withU32(pristine, refs.root,
+                 ChildRef::makeInternal(0x3fffffff).bits())},
+        {"root names the node past the last",
+         withU32(pristine, refs.root, ChildRef::makeInternal(nodes).bits())},
+        {"root of kind 3", withU32(pristine, refs.root, 3u << 30)},
+        {"child names the node past the last",
+         withU32(pristine, childRefAt(node0, 0),
+                 ChildRef::makeInternal(nodes).bits())},
+        {"child of kind 0 below the child count",
+         withU32(pristine, childRefAt(node0, 0), 0)},
+        {"internal root other than node 0",
+         withU32(pristine, refs.root, ChildRef::makeInternal(1).bits())},
+        {"child names its own node",
+         withU32(pristine, first.at,
+                 ChildRef::makeInternal(first.parent).bits())},
+        {"child names its node's parent",
+         withU32(pristine, grandchild->at,
+                 ChildRef::makeInternal(parent_ref->parent).bits())},
+        {"child names a node another reference names",
+         withU32(pristine, second->at,
+                 ChildRef::makeInternal(first.target).bits())},
+        {"child count 7", seven_children},
+        {"leaf range past the primitive indices",
+         withU32(pristine, refs.leaf_refs[0],
+                 ChildRef::makeLeaf(indices, 1).bits())},
+        {"primitive index equal to the count",
+         withU32(pristine, refs.first_index, indices)},
+        {"job id not its position", withU32(pristine, refs.job_starts[1], 0)},
+        {"parent at the job's own position",
+         withU32(pristine, refs.job_starts[0] + 12, 0)},
+        {"parent after the job",
+         withU32(pristine, refs.job_starts[1] + 12, jobs - 1)},
+        {"warp id equal to the job count",
+         withU32(pristine, refs.job_starts[0] + 4, jobs)},
+    };
+    Tally tally;
+    for (const auto &[what, mutant] : mutants)
+        expectRejected(reader, resealed(mutant), true, 64 * pristine.size(),
+                       std::string("resealed, ") + what, tally);
+    EXPECT_EQ(tally.failed, std::size(mutants));
+
+    // The production path counts the failure, rebuilds the workload,
+    // rewrites the snapshot byte for byte, and the rebuilt workload
+    // records its tape.
+    ScopedEnv env("SMS_WORKLOAD_CACHE", dir.path().c_str());
+    RenderParams params = smallParams();
+    ASSERT_TRUE(writeFileAtomic(reader.path, resealed(mutants[0].second)));
+    resetWorkloadCacheStats();
+    auto rebuilt = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny, &params);
+    ASSERT_NE(rebuilt, nullptr);
+    EXPECT_EQ(workloadCacheStats().failures, 1u);
+    EXPECT_EQ(workloadCacheStats().stores, 1u);
+    std::string rewritten;
+    ASSERT_TRUE(readFile(reader.path, rewritten));
+    EXPECT_TRUE(rewritten == pristine);
+    EXPECT_EQ(buildWorkloadTape(*rebuilt, TraversalVariant{}).jobs.size(),
+              jobs);
 }
 
 TEST(CacheMutation, TapeMutantsAreCountedFailures)

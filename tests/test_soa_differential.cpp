@@ -243,14 +243,11 @@ TEST_P(SoaDifferentialTest, ArenaSinkMatchesListSink)
                 ASSERT_EQ(lv, av);
             }
         }
-        ASSERT_EQ(arena.laneCount(lane), list_txns.size());
+        ASSERT_EQ(arena.laneTxns(lane).size(), list_txns.size());
         ASSERT_TRUE(sameTxnList(arena.laneTxns(lane), list_txns))
             << tc.label << " step " << step;
         // No stray transactions on other lanes.
-        for (uint32_t other = 0; other < kWarpSize; ++other)
-            if (other != lane) {
-                ASSERT_EQ(arena.laneCount(other), 0u);
-            }
+        ASSERT_EQ(arena.laneMask() & ~(1u << lane), 0u);
     }
     EXPECT_TRUE(sameStats(via_arena.stats(), via_list.stats()));
 }
@@ -363,9 +360,8 @@ TEST(StackTxnArena, AppendLinksPerLaneListsInOrder)
     arena.append(3, c);
 
     EXPECT_EQ(arena.totalCount(), 3u);
-    EXPECT_EQ(arena.laneCount(3), 2u);
-    EXPECT_EQ(arena.laneCount(7), 1u);
-    EXPECT_EQ(arena.laneCount(0), 0u);
+    EXPECT_EQ(arena.laneTxns(7).size(), 1u);
+    EXPECT_EQ(arena.laneMask(), (1u << 3) | (1u << 7));
 
     StackTxnList lane3 = arena.laneTxns(3);
     ASSERT_EQ(lane3.size(), 2u);
@@ -389,15 +385,15 @@ TEST(StackTxnArena, ClearIsLogicalNotDestructive)
     EXPECT_EQ(arena.totalCount(), 3u * kWarpSize);
 
     arena.clear();
+    EXPECT_EQ(arena.laneMask(), 0u);
     for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
-        EXPECT_EQ(arena.laneCount(lane), 0u);
         EXPECT_EQ(arena.laneHead(lane), StackTxnArena::kNil);
         EXPECT_TRUE(arena.laneTxns(lane).empty());
     }
 
     // Reuse after clear: fresh lists, no leftovers from the old links.
     arena.append(5, t);
-    EXPECT_EQ(arena.laneCount(5), 1u);
+    EXPECT_EQ(arena.laneMask(), 1u << 5);
     ASSERT_EQ(arena.laneTxns(5).size(), 1u);
     EXPECT_TRUE(sameTxn(arena.laneTxns(5)[0], t));
 }
@@ -409,7 +405,7 @@ TEST(StackTxnArena, LaneSinkAdapterAppendsToItsLane)
     StackTxn t{StackTxnKind::GlobalStore, 0x50, 8, StackTxnOrigin::Spill};
     sink.push_back(t);
     sink.push_back(t);
-    EXPECT_EQ(arena.laneCount(9), 2u);
+    EXPECT_EQ(arena.laneTxns(9).size(), 2u);
     EXPECT_EQ(arena.totalCount(), 2u);
 }
 

@@ -117,17 +117,19 @@ TEST(TraversalTape, FetchPhaseRoundTrip)
     EXPECT_EQ(tape.steps, 2u);
 
     TapeCursor cursor(&tape);
-    FetchLineList got;
+    ASSERT_EQ(cursor.fetchCount(), lines.size());
+    uint64_t line_index = 0;
+    for (uint64_t packed : lines)
+        EXPECT_EQ(cursor.fetchLine(line_index), packed);
     bool has_internal = false, has_leaf = false;
     uint32_t max_prims = 0;
-    cursor.fetchPhase(got, has_internal, has_leaf, max_prims);
-    EXPECT_EQ(got, lines);
+    cursor.fetchOp(has_internal, has_leaf, max_prims);
     EXPECT_TRUE(has_internal);
     EXPECT_TRUE(has_leaf);
     EXPECT_EQ(max_prims, 17u);
 
-    cursor.fetchPhase(got, has_internal, has_leaf, max_prims);
-    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(cursor.fetchCount(), 0u);
+    cursor.fetchOp(has_internal, has_leaf, max_prims);
     EXPECT_FALSE(has_internal);
     EXPECT_TRUE(has_leaf);
     EXPECT_EQ(max_prims, 63u);
@@ -143,11 +145,9 @@ TEST(TraversalTape, FetchLineWithUnknownTrafficClassIsRejected)
     TapeWriter writer(&tape);
     writer.fetchPhase({(5u << 2) | 3u}, true, false, 0);
     TapeCursor cursor(&tape);
-    FetchLineList got;
-    bool has_internal = false, has_leaf = false;
-    uint32_t max_prims = 0;
-    EXPECT_DEATH(cursor.fetchPhase(got, has_internal, has_leaf, max_prims),
-                 "traffic class 3");
+    ASSERT_EQ(cursor.fetchCount(), 1u);
+    uint64_t line_index = 0;
+    EXPECT_DEATH(cursor.fetchLine(line_index), "traffic class 3");
 }
 
 TEST(TraversalTape, StacklessBacktrackToUnknownNodeIsRejected)
