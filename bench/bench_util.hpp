@@ -19,6 +19,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <utility>
 #include <vector>
@@ -920,6 +921,12 @@ class JsonReporter
         // Proof obligation of the warm path: a fully result-cached
         // sweep must report simulate_calls == 0.
         throughput["simulate_calls"] = simulateJobsCallCount();
+        // Peak resident set of the process so far, in 10^6 bytes as
+        // perfbench reports it (Linux gives ru_maxrss in KiB).
+        struct rusage usage{};
+        ::getrusage(RUSAGE_SELF, &usage);
+        throughput["peak_rss_mb"] =
+            static_cast<double>(usage.ru_maxrss) * 1024.0 / 1e6;
         WorkloadCacheStats cache = workloadCacheStats();
         JsonValue cache_json = JsonValue::object();
         cache_json["enabled"] = !workloadCacheDir().empty();

@@ -59,6 +59,7 @@ class BinaryBvh
      * Build over all primitives of @p scene. The largest scenes build
      * their top subtrees concurrently (up to defaultThreadCount()
      * threads); the output does not depend on the thread count.
+     * nodes() holds exactly the nodes of the tree.
      */
     static BinaryBvh build(const Scene &scene,
                            const BvhBuildParams &params = {});

@@ -30,6 +30,11 @@ WideBvh::fromBinary(const Scene &scene, const BinaryBvh &binary,
     if (binary.empty())
         return wide;
     wide.prim_indices_ = binary.primIndices();
+    // Every wide node collapses at least one internal binary node, so
+    // the binary tree's (n - 1) / 2 internal nodes bound the count.
+    // Reserving that once spares the growing array its copies; the
+    // pages of slots never written stay untouched.
+    wide.nodes_.reserve(binary.nodes().size() / 2);
     wide.root_ref_ = wide.collapse(binary, binary.rootIndex());
     return wide;
 }

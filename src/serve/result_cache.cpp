@@ -384,8 +384,8 @@ loadCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
 {
     std::string path =
         resultCachePath(dir, id, profile, fingerprint, digest);
-    std::string data;
-    if (!readFile(path, data)) {
+    MappedFile file;
+    if (!file.open(path)) {
         ++g_misses;
         return false; // quiet miss: never simulated here
     }
@@ -397,7 +397,7 @@ loadCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
         return false;
     };
 
-    CacheReader r(kMagic, data);
+    CacheReader r(kMagic, file.bytes());
     if (!r.ok())
         return invalid("bad magic or checksum");
     if (r.u32() != kResultCacheVersion)

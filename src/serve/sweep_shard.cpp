@@ -98,6 +98,10 @@ mergeThroughput(const std::vector<const JsonValue *> &blocks)
     tp["sim_cycles_per_sec"] = sweep_wall > 0.0 ? cycles / sweep_wall
                                                 : 0.0;
     tp["simulate_calls"] = sumField(blocks, "simulate_calls");
+    // Each worker is its own process, and they run at the same time:
+    // the largest single peak is a lower bound on the host memory the
+    // sweep needed, which may be up to the sum of the workers' peaks.
+    tp["peak_rss_mb"] = maxField(blocks, "peak_rss_mb");
 
     for (const char *cache : {"workload_cache", "result_cache"}) {
         auto subs = subBlocks(blocks, cache);

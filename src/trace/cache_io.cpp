@@ -10,6 +10,8 @@
 #include <bit>
 #include <cerrno>
 #include <cstdio>
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -107,7 +109,7 @@ xxh64(const void *data, size_t n)
     return acc;
 }
 
-CacheReader::CacheReader(const char magic[8], const std::string &file)
+CacheReader::CacheReader(const char magic[8], std::string_view file)
 {
     if (file.size() < 16 || std::memcmp(file.data(), magic, 8) != 0)
         return;
@@ -162,6 +164,33 @@ readFile(const std::string &path, std::string &out)
     bool ok = size == 0 || std::fread(out.data(), 1, out.size(), f) ==
                                out.size();
     std::fclose(f);
+    return ok;
+}
+
+MappedFile::~MappedFile()
+{
+    if (size_ != 0)
+        ::munmap(const_cast<char *>(data_), size_);
+}
+
+bool
+MappedFile::open(const std::string &path)
+{
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st{};
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok && st.st_size > 0) {
+        void *p = ::mmap(nullptr, static_cast<size_t>(st.st_size),
+                         PROT_READ, MAP_PRIVATE, fd, 0);
+        ok = p != MAP_FAILED;
+        if (ok) {
+            data_ = static_cast<const char *>(p);
+            size_ = static_cast<size_t>(st.st_size);
+        }
+    }
+    ::close(fd);
     return ok;
 }
 

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -170,7 +171,7 @@ class CacheReader
      * checksum of everything before it; it then reads the body between
      * the two. @p file must outlive the reader.
      */
-    CacheReader(const char magic[8], const std::string &file);
+    CacheReader(const char magic[8], std::string_view file);
     CacheReader(const char magic[8], std::string &&file) = delete;
 
     bool ok() const { return ok_; }
@@ -304,6 +305,33 @@ bool writeFileAtomic(const std::string &path, const std::string &data);
 
 /** Slurp @p path into @p out. @return false when unreadable. */
 bool readFile(const std::string &path, std::string &out);
+
+/**
+ * A file mapped read-only, unmapped when the object goes. The cache
+ * loaders read their envelopes through it rather than readFile(): the
+ * page cache supplies the bytes, so a load allocates, zeroes and copies
+ * no buffer of the file's size (snapshot and tape bodies run to
+ * 13.5 MB, and a buffer that large gets fresh pages at every load).
+ * Cache files are replaced by rename, never rewritten in place, so a
+ * mapping always sees the whole file it opened.
+ */
+class MappedFile
+{
+  public:
+    MappedFile() = default;
+    ~MappedFile();
+    MappedFile(const MappedFile &) = delete;
+    MappedFile &operator=(const MappedFile &) = delete;
+
+    /** Map @p path. @return false when it cannot be opened or mapped. */
+    bool open(const std::string &path);
+
+    std::string_view bytes() const { return {data_, size_}; }
+
+  private:
+    const char *data_ = nullptr;
+    size_t size_ = 0;
+};
 
 /** mkdir -p. @return false when a component exists as a non-dir. */
 bool ensureDir(const std::string &dir);

@@ -420,8 +420,8 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
                      ScaleProfile profile, const RenderParams &params)
 {
     std::string path = workloadSnapshotPath(dir, id, profile, params);
-    std::string data;
-    if (!readFile(path, data)) {
+    MappedFile file;
+    if (!file.open(path)) {
         ++g_misses;
         return nullptr;
     }
@@ -432,7 +432,7 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
         return nullptr;
     };
 
-    CacheReader r(kMagic, data);
+    CacheReader r(kMagic, file.bytes());
     if (!r.ok())
         return invalid("bad magic or checksum");
     if (r.u32() != kWorkloadSnapshotVersion)
@@ -562,8 +562,8 @@ loadTraversalTape(const std::string &dir, const Workload &workload,
     std::string path = traversalTapePath(dir, workload.id,
                                          workload.profile,
                                          workload.params, variant);
-    std::string data;
-    if (!readFile(path, data))
+    MappedFile file;
+    if (!file.open(path))
         return false; // quiet miss: never recorded here
     auto invalid = [&](const char *why) {
         warn("traversal tape %s: %s; rebuilding", path.c_str(), why);
@@ -571,7 +571,7 @@ loadTraversalTape(const std::string &dir, const Workload &workload,
         return false;
     };
 
-    CacheReader r(kTapeMagic, data);
+    CacheReader r(kTapeMagic, file.bytes());
     if (!r.ok())
         return invalid("bad magic or checksum");
     if (r.u32() != kTraversalTapeVersion)

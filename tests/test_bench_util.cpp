@@ -321,12 +321,13 @@ TEST(JsonReporter, EndToEndSweepRecord)
     ASSERT_NE(throughput, nullptr);
     for (const char *field :
          {"prepare_wall_seconds", "sweep_wall_seconds", "cells",
-          "sim_cycles_total", "sim_cycles_per_sec"}) {
+          "sim_cycles_total", "sim_cycles_per_sec", "peak_rss_mb"}) {
         ASSERT_NE(throughput->find(field), nullptr) << field;
         EXPECT_TRUE(std::isfinite(throughput->numberOr(field, NAN)))
             << field;
     }
     EXPECT_EQ(throughput->numberOr("cells", -1.0), 4.0);
+    EXPECT_GT(throughput->numberOr("peak_rss_mb", 0.0), 0.0);
     const JsonValue *cache = throughput->find("workload_cache");
     ASSERT_NE(cache, nullptr);
     ASSERT_NE(cache->find("hits"), nullptr);

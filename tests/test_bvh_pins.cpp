@@ -19,6 +19,10 @@
  * ctest runs this binary twice, once as is and once with SMS_THREADS=1,
  * against the same constants: the output may not depend on the number
  * of threads that built it.
+ *
+ * The binary builder writes into worst-case storage (2n - 1 nodes); the
+ * tree it returns must hold exactly the nodes it keeps, so that the
+ * worst-case array never outlives the build.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +35,7 @@
 #include <string>
 #include <unistd.h>
 
+#include "src/bvh/binary_bvh.hpp"
 #include "src/trace/cache_io.hpp"
 #include "src/trace/render.hpp"
 #include "src/trace/workload_cache.hpp"
@@ -146,6 +151,14 @@ TEST(BvhPins, WideBvhBytesMatchCommittedHashes)
             << sceneName(pin.scene);
     }
     setParallelForHooks(nullptr, nullptr);
+}
+
+TEST(BvhPins, BinaryNodeStorageIsExact)
+{
+    Scene scene = makeScene(SceneId::FOX, ScaleProfile::Small);
+    BinaryBvh bvh = BinaryBvh::build(scene);
+    EXPECT_EQ(bvh.nodes().capacity(), bvh.nodes().size());
+    EXPECT_LT(bvh.nodes().size(), 2 * scene.primitiveCount() - 1);
 }
 
 TEST(BvhPins, TinyBunnyCacheFilesMatchCommittedHashes)

@@ -279,6 +279,32 @@ TEST(Compare, IdenticalRecordsPass)
     EXPECT_TRUE(issues.empty());
 }
 
+TEST(Compare, IgnoresHostMeasurements)
+{
+    // Wall clocks and peak RSS describe the host, not the simulation:
+    // records that differ only there compare clean at zero epsilon.
+    auto hostStamped = [](double scale) {
+        JsonValue rec = makeRecord(1.0);
+        rec["wall_seconds"] = 2.0 * scale;
+        JsonValue throughput = JsonValue::object();
+        throughput["sweep_wall_seconds"] = 1.5 * scale;
+        throughput["peak_rss_mb"] = 270.0 * scale;
+        rec["throughput"] = throughput;
+        return rec;
+    };
+    JsonValue a = hostStamped(1.0);
+    JsonValue b = hostStamped(3.0);
+    CompareOptions options;
+    options.ipc_eps = 0.0;
+    options.traffic_eps = 0.0;
+    std::vector<CompareIssue> issues;
+    std::string error;
+    ASSERT_EQ(compareBenchRecords(a, b, options, issues, error),
+              CompareStatus::Ok)
+        << error;
+    EXPECT_TRUE(issues.empty());
+}
+
 TEST(Compare, DetectsInjectedIpcRegression)
 {
     // The acceptance test of the issue: a 5% IPC regression on the SMS

@@ -207,6 +207,14 @@ TEST(MergeShardRecords, TwoShardMergeIsBitIdenticalToSingleProcess)
     ASSERT_NE(merged.find("merge"), nullptr);
     EXPECT_EQ(merged.find("merge")->numberOr("shards", 0.0), 2.0);
 
+    // The merged peak RSS is the largest worker's, not a sum.
+    auto peakRss = [](const JsonValue &rec) {
+        const JsonValue *t = rec.find("throughput");
+        return t ? t->numberOr("peak_rss_mb", 0.0) : 0.0;
+    };
+    EXPECT_GT(peakRss(shard1), 0.0);
+    EXPECT_EQ(peakRss(merged), std::max(peakRss(shard1), peakRss(shard2)));
+
     // Zero-epsilon compare against the single-process record: every
     // cell counter, every recomputed normalized column, both summary
     // geomeans, and the per-cell cycle-accounting leaves must be

@@ -198,6 +198,65 @@ TEST(TraversalSim, FetchTouchesNodeAndPrimitiveTraffic)
     EXPECT_GT(rig.mem.l1(0).missesByClass(TrafficClass::Primitive), 0u);
 }
 
+TEST(TraversalSim, ConflictedSharedLoadGatingARoundIsABankConflict)
+{
+    // A hand-written three-step tape on RB_1+SH_8 (no skew), replayed by
+    // eight even lanes that all act alike. Fetches are empty and carry
+    // no op latency, so every cycle of the job is a stack cycle.
+    //   step 1: each lane pops the root and pushes two nodes; the first
+    //           spills to SH slot 0 (one shared store);
+    //   step 2: each lane pops its RB entry, and the eager refill loads
+    //           slot 0 back: the round's only transaction, a shared
+    //           load by eight lanes whose words share one bank pair;
+    //   step 3: each lane pops the refilled node and finishes.
+    // The store keeps the shared pipeline busy past the warp's own
+    // step-2 stack round, so the load's conflict passes fall inside
+    // the manager stall that step 3 waits out.
+    Rig rig;
+    GpuConfig config = GpuConfig::tableI();
+    config.stack = StackConfig::withSh(1, 8);
+    WarpJob job;
+    job.job_id = 0;
+    std::vector<SharedLaneRequest> refill;
+    for (uint32_t lane = 0; lane < 16; lane += 2) {
+        job.active[lane] = true;
+        refill.push_back({lane, lane * 8 * kStackEntryBytes});
+    }
+    const uint32_t passes = SharedMemory::conflictPasses(refill);
+    ASSERT_EQ(passes, 8u);
+
+    JobTape tape;
+    TapeWriter writer(&tape);
+    const uint64_t pushed[2] = {ChildRef::makeInternal(1).stackValue(),
+                                ChildRef::makeInternal(2).stackValue()};
+    for (int step = 0; step < 3; ++step) {
+        writer.fetchPhase({}, false, false, 0);
+        for (uint32_t lane = 0; lane < 16; lane += 2)
+            writer.internalVisit(0, pushed, step == 0 ? 2 : 0);
+    }
+
+    TraversalSim sim(rig.bvh, config, job, tape, 0, 0, 0x100000000ull,
+                     rig.mem, rig.shared, nullptr);
+    Cycle now = 0;
+    while (!sim.done())
+        now = sim.stepStack(sim.stepFetch(now));
+
+    EXPECT_EQ(sim.counters().steps, 3u);
+    EXPECT_EQ(sim.stackStats().sh_loads, 8u);
+    EXPECT_EQ(rig.shared.stats().conflicted_accesses, 2u);
+    const CycleAccount &a = sim.account();
+    EXPECT_EQ(a.leaf(CycleLeaf::StallShmemBankConflict), passes - 1);
+    // The rest of the load's stall is refill; the three steps' own
+    // stack rounds are issue work; nothing else is charged.
+    EXPECT_GT(a.leaf(CycleLeaf::StallStackRefill), 0u);
+    EXPECT_EQ(a.leaf(CycleLeaf::Issue), 3 * config.timing.stack_round);
+    EXPECT_EQ(a.activeSum(), a.leaf(CycleLeaf::StallShmemBankConflict) +
+                                 a.leaf(CycleLeaf::StallStackRefill) +
+                                 a.leaf(CycleLeaf::Issue));
+    // Conservation: every cycle from admission (0) to retirement.
+    EXPECT_EQ(a.activeSum(), now);
+}
+
 // ---------------------------------------------------------------------
 // GpuConfig
 // ---------------------------------------------------------------------

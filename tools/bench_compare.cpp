@@ -33,8 +33,9 @@
  *
  * --check-throughput validates the most recent record of a single file:
  * the run-level "throughput" block must exist with finite numeric
- * fields (wall-clock magnitudes are machine-dependent and deliberately
- * NOT gated — only presence and finiteness are checked).
+ * fields and a positive peak_rss_mb (wall-clock and memory magnitudes
+ * are machine-dependent and deliberately NOT gated — only presence,
+ * finiteness and the sign are checked).
  *
  * --throughput-floor R (two-record mode) additionally gates the new
  * record's throughput.sim_cycles_per_sec against the baseline
@@ -174,8 +175,9 @@ blockSummary(const std::vector<CompareIssue> &issues)
 
 /**
  * Validate the throughput block of the most recent record in @p path:
- * all fields present and finite. Magnitudes are machine-dependent, so
- * none are compared against thresholds.
+ * all fields present and finite, and the peak RSS positive (a process
+ * that wrote a record had memory). Magnitudes are machine-dependent,
+ * so none are compared against thresholds.
  */
 int
 checkThroughput(const char *path)
@@ -215,8 +217,14 @@ checkThroughput(const char *path)
         for (const char *field :
              {"prepare_wall_seconds", "sweep_wall_seconds", "cells",
               "sim_cycles_total", "sim_cycles_per_sec",
-              "simulate_calls"})
+              "simulate_calls", "peak_rss_mb"})
             requireFinite(*throughput, "throughput", field);
+        double peak_rss = throughput->numberOr("peak_rss_mb", NAN);
+        if (std::isfinite(peak_rss) && peak_rss <= 0.0) {
+            std::printf("  throughput.peak_rss_mb is %g, not positive\n",
+                        peak_rss);
+            ok = false;
+        }
         const JsonValue *cache = throughput->find("workload_cache");
         if (!cache) {
             std::printf("  missing throughput.workload_cache object\n");
