@@ -23,15 +23,23 @@
  * only the pages of nodes the build writes are ever touched; the tree
  * keeps about 0.63 n of them, copied out into an exactly sized
  * nodes() once the build is done.
+ *
+ * The hot loops work four floats at a time and skip empty bins, yet
+ * produce the bits of the scalar sweep over every bin: DESIGN.md §3,
+ * "The exactness contract of the build's hot loops", says what may
+ * change order and what may not.
  */
 
 #include "src/bvh/binary_bvh.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
+#include <utility>
 
 #include "src/util/check.hpp"
 #include "src/util/parallel.hpp"
@@ -48,10 +56,78 @@ struct PrimRef
     uint32_t id;
 };
 
-/** One SAH bin: bounds and primitive count. */
-struct Bin
+/**
+ * Four floats in one vector register (a GCC/Clang vector extension, so
+ * one code path on every target). The builder reads each PrimRef as
+ * three overlapping unaligned rows of four floats: the bounds' minimum,
+ * the bounds' maximum and the centroid. The fourth lane of a row holds
+ * the next field and is never used.
+ */
+typedef float Float4 __attribute__((vector_size(16)));
+typedef int32_t Int4 __attribute__((vector_size(16)));
+
+constexpr size_t kLoRow = offsetof(PrimRef, bounds);
+constexpr size_t kHiRow = offsetof(PrimRef, bounds) + offsetof(Aabb, hi);
+constexpr size_t kCentroidRow = offsetof(PrimRef, centroid);
+static_assert(sizeof(PrimRef) == 40 && kHiRow == 12 && kCentroidRow == 24,
+              "every PrimRef row must lie inside the record");
+
+Float4
+loadRow(const PrimRef &ref, size_t row)
 {
-    Aabb bounds;
+    Float4 v;
+    std::memcpy(&v, reinterpret_cast<const char *>(&ref) + row, sizeof v);
+    return v;
+}
+
+/** Lane-wise sms::min and sms::max: a tie keeps the second operand. */
+Float4
+min4(Float4 a, Float4 b)
+{
+    return a < b ? a : b;
+}
+
+Float4
+max4(Float4 a, Float4 b)
+{
+    return a > b ? a : b;
+}
+
+constexpr float kMax = std::numeric_limits<float>::max();
+constexpr float kLowest = std::numeric_limits<float>::lowest();
+/** The rows of an empty Aabb. */
+constexpr Float4 kEmptyLo = {kMax, kMax, kMax, kMax};
+constexpr Float4 kEmptyHi = {kLowest, kLowest, kLowest, kLowest};
+
+Aabb
+toAabb(Float4 lo, Float4 hi)
+{
+    return Aabb({lo[0], lo[1], lo[2]}, {hi[0], hi[1], hi[2]});
+}
+
+/**
+ * Aabb::surfaceArea() of the box in lanes 0-2, with the same operations
+ * in the same order: 0 for an empty box, else
+ * 2 * ((ex * ey + ey * ez) + ez * ex).
+ */
+float
+surfaceArea(Float4 lo, Float4 hi)
+{
+    if (lo[0] > hi[0] || lo[1] > hi[1] || lo[2] > hi[2])
+        return 0.0f;
+    const Float4 e = hi - lo;
+    const Float4 p = e * __builtin_shufflevector(e, e, 1, 2, 0, 3);
+    return 2.0f * (p[0] + p[1] + p[2]);
+}
+
+/**
+ * One SAH bin: the union of its primitives' bounds, in lanes 0-2, and
+ * their count, on one cache line.
+ */
+struct alignas(64) Bin
+{
+    Float4 lo = kEmptyLo;
+    Float4 hi = kEmptyHi;
     uint32_t count = 0;
 };
 
@@ -105,7 +181,11 @@ class BinaryBuilder
           next_node_(first_node), bins_(3 * static_cast<size_t>(nbins_)),
           right_area_(static_cast<size_t>(nbins_)),
           right_count_(static_cast<size_t>(nbins_))
-    {}
+    {
+        // Each axis keeps its occupied bins as the bits of one int lane,
+        // set from a float 2^bin that an int holds exactly up to 2^30.
+        SMS_ASSERT(nbins_ >= 1 && nbins_ <= 31, "sah_bins must be 1..31");
+    }
 
     /** Index after the last node this builder wrote. */
     uint32_t nextNode() const { return next_node_; }
@@ -120,18 +200,27 @@ class BinaryBuilder
     {
         SMS_ASSERT(end > begin, "empty build range");
         uint32_t node_idx = next_node_++;
-        BinaryNode node;
-        Aabb centroid_bounds;
+        // The node's bounds fold its primitives in order, as
+        // Aabb::extend would: a tie between +0 and -0 keeps the later.
+        Float4 lo = kEmptyLo, hi = kEmptyHi;
+        Float4 centroid_lo = kEmptyLo, centroid_hi = kEmptyHi;
         for (uint32_t i = begin; i < end; ++i) {
-            node.bounds.extend(refs_[i].bounds);
-            centroid_bounds.extend(refs_[i].centroid);
+            const PrimRef &ref = refs_[i];
+            lo = min4(lo, loadRow(ref, kLoRow));
+            hi = max4(hi, loadRow(ref, kHiRow));
+            Float4 c = loadRow(ref, kCentroidRow);
+            centroid_lo = min4(centroid_lo, c);
+            centroid_hi = max4(centroid_hi, c);
         }
+        BinaryNode node;
+        node.bounds = toAabb(lo, hi);
 
         uint32_t count = end - begin;
         if (count <= static_cast<uint32_t>(params_.max_leaf_prims))
             return makeLeaf(node_idx, node, begin, end);
 
-        Split split = findSplit(begin, end, centroid_bounds);
+        Split split =
+            findSplit(begin, end, toAabb(centroid_lo, centroid_hi));
         uint32_t mid;
         if (split.axis < 0) {
             // All centroids coincide: split in half by index.
@@ -150,13 +239,7 @@ class BinaryBuilder
                 return makeLeaf(node_idx, node, begin, end);
             }
 
-            auto *split_point = std::partition(
-                refs_.data() + begin, refs_.data() + end,
-                [&](const PrimRef &r) {
-                    return binIndex(r.centroid[split.axis], split.lo,
-                                    split.scale) <= split.bin;
-                });
-            mid = static_cast<uint32_t>(split_point - refs_.data());
+            mid = partition(begin, end, split);
             if (mid == begin || mid == end)
                 mid = begin + count / 2; // binning failed; fall back
         }
@@ -182,20 +265,16 @@ class BinaryBuilder
         float scale = 0.0f; ///< bins per unit along axis
     };
 
-    int
-    binIndex(float centroid, float lo, float scale) const
-    {
-        int b = static_cast<int>((centroid - lo) * scale);
-        return std::clamp(b, 0, nbins_ - 1);
-    }
-
-    /** Bin all three axes in one pass, then score each axis's splits. */
+    /**
+     * Bin all three axes in one pass, then score each axis's splits and
+     * empty the bins that were used.
+     */
     Split
     findSplit(uint32_t begin, uint32_t end, const Aabb &centroid_bounds)
     {
-        float lo[3];
-        float scale[3];
-        bool usable[3];
+        float lo[3] = {};
+        float scale[3] = {};
+        bool usable[3] = {};
         for (int axis = 0; axis < 3; ++axis) {
             lo[axis] = centroid_bounds.lo[axis];
             float extent = centroid_bounds.hi[axis] - lo[axis];
@@ -205,51 +284,175 @@ class BinaryBuilder
             scale[axis] = usable[axis] ? nbins_ / extent : 0.0f;
         }
 
-        std::fill(bins_.begin(), bins_.end(), Bin());
+        // A ref's bin on each axis is (centroid - lo) * scale, truncated
+        // and clamped to [0, nbins - 1], all three axes at once.
+        const int nbins = nbins_;
+        const Float4 lo4 = {lo[0], lo[1], lo[2], 0.0f};
+        const Float4 scale4 = {scale[0], scale[1], scale[2], 0.0f};
+        const Int4 zero = {0, 0, 0, 0};
+        const Int4 last_bin = {nbins - 1, nbins - 1, nbins - 1, 0};
+        const Int4 first_bin = {0, nbins, 2 * nbins, 0};
+        Bin *const bins = bins_.data();
+        // Bins are addressed by byte offset, computed with the indices.
+        char *const bin_bytes = reinterpret_cast<char *>(bins);
+        auto add = [&](int offset, Float4 ref_lo, Float4 ref_hi) {
+            Bin *bin = reinterpret_cast<Bin *>(
+                bin_bytes + static_cast<uint32_t>(offset));
+            bin->lo = min4(bin->lo, ref_lo);
+            bin->hi = max4(bin->hi, ref_hi);
+            bin->count += 1;
+        };
+        Int4 occupied = zero;
         for (uint32_t i = begin; i < end; ++i) {
             const PrimRef &ref = refs_[i];
-            for (int axis = 0; axis < 3; ++axis) {
-                Bin &bin = bins_[axis * nbins_ +
-                                 binIndex(ref.centroid[axis], lo[axis],
-                                          scale[axis])];
-                bin.bounds.extend(ref.bounds);
-                bin.count += 1;
-            }
+            Float4 c = loadRow(ref, kCentroidRow);
+            // Lane 3 holds the id's bits, a denormal as a float; repeat
+            // lane 2 there so that no lane computes on a denormal.
+            c = __builtin_shufflevector(c, c, 0, 1, 2, 2);
+            Int4 b = __builtin_convertvector((c - lo4) * scale4, Int4);
+            b = b < zero ? zero : b;
+            b = b > last_bin ? last_bin : b;
+            // 1 << b: the float 2^b, built in its exponent, as an int.
+            occupied |= __builtin_convertvector(
+                __builtin_bit_cast(Float4, (b + 127) << 23), Int4);
+            const Int4 k = (b + first_bin) * static_cast<int>(sizeof(Bin));
+            const Float4 ref_lo = loadRow(ref, kLoRow);
+            const Float4 ref_hi = loadRow(ref, kHiRow);
+            add(k[0], ref_lo, ref_hi);
+            add(k[1], ref_lo, ref_hi);
+            add(k[2], ref_lo, ref_hi);
         }
 
         Split best;
         for (int axis = 0; axis < 3; ++axis) {
-            if (!usable[axis])
-                continue;
-            const Bin *bins = &bins_[axis * nbins_];
-            // Sweep: suffix areas first, then prefix while scoring.
-            Aabb acc;
-            uint32_t cnt = 0;
-            for (int b = nbins_ - 1; b > 0; --b) {
-                acc.extend(bins[b].bounds);
-                cnt += bins[b].count;
-                right_area_[b] = acc.surfaceArea();
-                right_count_[b] = cnt;
-            }
-            acc = Aabb();
-            cnt = 0;
-            for (int b = 0; b < nbins_ - 1; ++b) {
-                acc.extend(bins[b].bounds);
-                cnt += bins[b].count;
-                if (cnt == 0 || right_count_[b + 1] == 0)
-                    continue;
-                float cost = acc.surfaceArea() * cnt +
-                             right_area_[b + 1] * right_count_[b + 1];
-                if (cost < best.cost) {
-                    best.cost = cost;
-                    best.axis = axis;
-                    best.bin = b;
-                    best.lo = lo[axis];
-                    best.scale = scale[axis];
-                }
-            }
+            Bin *axis_bins = bins + axis * nbins;
+            int used[32];
+            int n = 0;
+            for (uint32_t m = static_cast<uint32_t>(occupied[axis]); m != 0;
+                 m &= m - 1)
+                used[n++] = __builtin_ctz(m);
+            if (usable[axis])
+                scoreAxis(axis, axis_bins, used, n, lo[axis], scale[axis],
+                          best);
+            for (int j = 0; j < n; ++j)
+                axis_bins[used[j]] = Bin();
         }
         return best;
+    }
+
+    /**
+     * Score one axis's splits: suffix areas first, then prefix while
+     * scoring. Only the splits after its @p n occupied bins @p used
+     * (ascending) are scored. A split after an empty bin has the
+     * partition and the cost of the split after the occupied bin before
+     * it, since an empty bin leaves a union of bins as it is, and the
+     * strict < keeps the earlier of two equal costs.
+     */
+    void
+    scoreAxis(int axis, const Bin *bins, const int *used, int n, float lo,
+              float scale, Split &best)
+    {
+        Float4 acc_lo = kEmptyLo, acc_hi = kEmptyHi;
+        uint32_t cnt = 0;
+        for (int j = n - 1; j > 0; --j) {
+            acc_lo = min4(acc_lo, bins[used[j]].lo);
+            acc_hi = max4(acc_hi, bins[used[j]].hi);
+            cnt += bins[used[j]].count;
+            right_area_[j] = surfaceArea(acc_lo, acc_hi);
+            right_count_[j] = cnt;
+        }
+        acc_lo = kEmptyLo;
+        acc_hi = kEmptyHi;
+        cnt = 0;
+        for (int j = 0; j < n - 1; ++j) {
+            acc_lo = min4(acc_lo, bins[used[j]].lo);
+            acc_hi = max4(acc_hi, bins[used[j]].hi);
+            cnt += bins[used[j]].count;
+            float cost = surfaceArea(acc_lo, acc_hi) * cnt +
+                         right_area_[j + 1] * right_count_[j + 1];
+            if (cost < best.cost) {
+                best.cost = cost;
+                best.axis = axis;
+                best.bin = used[j];
+                best.lo = lo;
+                best.scale = scale;
+            }
+        }
+    }
+
+    /**
+     * Move the refs of [begin, end) whose centroid bins at most
+     * split.bin on split.axis to the front, and return where the others
+     * start. The refs are permuted exactly as libstdc++'s std::partition
+     * (bidirectional) would, without its branches: that swaps the i-th
+     * ref from the front that goes right with the i-th ref from the back
+     * that goes left, which are the i-th out-of-place refs on either side
+     * of the split point. One pass marks each ref's side in a bit mask,
+     * the second swaps those pairs.
+     */
+    uint32_t
+    partition(uint32_t begin, uint32_t end, const Split &split)
+    {
+        const uint32_t count = end - begin;
+        const uint32_t words = (count + 63) / 64;
+        if (goes_left_.size() < words)
+            goes_left_.resize(words);
+        uint64_t *goes_left = goes_left_.data();
+        PrimRef *refs = refs_.data() + begin;
+        // A ref's bin is its truncated offset clamped to [0, nbins - 1];
+        // split.bin < nbins - 1, so the unclamped offset decides alike.
+        const size_t at =
+            kCentroidRow + sizeof(float) * static_cast<size_t>(split.axis);
+        uint32_t left = 0;
+        for (uint32_t w = 0; w < words; ++w) {
+            const uint32_t first = 64 * w;
+            const uint32_t last = std::min(first + 64, count);
+            // Each ref's bit enters at the top; after the last, the
+            // word's bit j is ref first + j.
+            uint64_t bits = 0;
+            for (uint32_t i = first; i < last; ++i) {
+                float c;
+                std::memcpy(&c, reinterpret_cast<const char *>(&refs[i]) + at,
+                            sizeof c);
+                bool goes = static_cast<int>((c - split.lo) * split.scale) <=
+                            split.bin;
+                bits = bits >> 1 | uint64_t{goes} << 63;
+            }
+            bits >>= 64 - (last - first);
+            goes_left[w] = bits;
+            left += static_cast<uint32_t>(__builtin_popcountll(bits));
+        }
+
+        // Out of place: a 0 bit before the split point (word w of the
+        // front) and a 1 bit after it (word w of the back). Both sides
+        // hold as many, so the front running out ends the swaps.
+        auto front = [&](uint32_t w) {
+            const uint32_t before = left - 64 * w;
+            return ~goes_left[w] &
+                   (before >= 64 ? ~uint64_t{0} : (uint64_t{1} << before) - 1);
+        };
+        auto back = [&](uint32_t w) {
+            const uint32_t skip = left > 64 * w ? left - 64 * w : 0;
+            return skip >= 64 ? 0 : goes_left[w] & (~uint64_t{0} << skip);
+        };
+        uint32_t fw = 0, bw = words - 1;
+        uint64_t fbits = left > 0 ? front(0) : 0;
+        uint64_t bbits = back(bw);
+        while (true) {
+            while (fbits == 0) {
+                if (64 * ++fw >= left)
+                    return begin + left;
+                fbits = front(fw);
+            }
+            while (bbits == 0)
+                bbits = back(--bw);
+            const int low = __builtin_ctzll(fbits);
+            const int top = 63 - __builtin_clzll(bbits);
+            std::swap(refs[64 * fw + static_cast<uint32_t>(low)],
+                      refs[64 * bw + static_cast<uint32_t>(top)]);
+            fbits &= fbits - 1;
+            bbits ^= uint64_t{1} << top;
+        }
     }
 
     /**
@@ -308,9 +511,10 @@ class BinaryBuilder
     const BvhBuildParams &params_;
     const int nbins_;
     uint32_t next_node_;
-    std::vector<Bin> bins_; ///< nbins_ per axis, axis-major
-    std::vector<float> right_area_;
+    std::vector<Bin> bins_;         ///< nbins_ per axis, axis-major
+    std::vector<float> right_area_; ///< per occupied bin, while scoring
     std::vector<uint32_t> right_count_;
+    std::vector<uint64_t> goes_left_; ///< one bit per ref, while partitioning
 };
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,29 @@ subdivide(IcoMesh &m)
         next.push_back({ab, bc, ca});
     }
     m.faces = std::move(next);
+}
+
+/**
+ * The unit icosphere after @p subdiv subdivisions. Each level is
+ * subdivided once per process, from the level below, and kept: callers
+ * only scale and move its vertices, so every triangle they emit is the
+ * one a fresh subdivision would give. Safe to call from any thread.
+ */
+const IcoMesh &
+unitIcosphere(int subdiv)
+{
+    const size_t level = subdiv > 0 ? static_cast<size_t>(subdiv) : 0;
+    static std::mutex mutex;
+    static std::vector<std::unique_ptr<const IcoMesh>> levels;
+    std::lock_guard<std::mutex> lock(mutex);
+    if (levels.empty())
+        levels.push_back(std::make_unique<const IcoMesh>(makeIcosahedron()));
+    while (levels.size() <= level) {
+        auto next = std::make_unique<IcoMesh>(*levels.back());
+        subdivide(*next);
+        levels.push_back(std::move(next));
+    }
+    return *levels[level];
 }
 
 /** Deterministic smooth-ish value noise on the unit sphere. */
@@ -159,9 +184,7 @@ void
 addIcosphere(Scene &scene, const Vec3 &center, float radius, int subdiv,
              uint16_t material)
 {
-    IcoMesh m = makeIcosahedron();
-    for (int i = 0; i < subdiv; ++i)
-        subdivide(m);
+    const IcoMesh &m = unitIcosphere(subdiv);
     for (const auto &f : m.faces) {
         scene.addTriangle(Triangle(center + m.verts[f[0]] * radius,
                                    center + m.verts[f[1]] * radius,
@@ -174,9 +197,7 @@ void
 addBlob(Scene &scene, const Vec3 &center, float radius, int subdiv,
         float noise_amp, uint64_t seed, uint16_t material)
 {
-    IcoMesh m = makeIcosahedron();
-    for (int i = 0; i < subdiv; ++i)
-        subdivide(m);
+    const IcoMesh &m = unitIcosphere(subdiv);
     std::vector<Vec3> displaced(m.verts.size());
     for (size_t i = 0; i < m.verts.size(); ++i) {
         float r = radius * (1.0f + noise_amp * sphereNoise(m.verts[i], seed));
