@@ -18,6 +18,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -482,10 +483,32 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
                 tapeSpan(g, "tape_load", t0);
             },
             threads);
+    // A workload holds no scene, so a scene's tape builds share one
+    // lease on it: the first build to start takes it, the last to end
+    // drops it, and the scene is generated once per sweep and freed
+    // before the sweep ends.
+    struct SceneLease
+    {
+        std::mutex mutex;
+        std::shared_ptr<const Scene> scene;
+        size_t builds_left = 0;
+    };
+    std::vector<SceneLease> leases(workloads.size());
     auto buildTape = [&](size_t g) {
         const Workload &workload = *workloads[groups[g].scene];
+        SceneLease &lease = leases[groups[g].scene];
         uint64_t t0 = tl ? timelineWallMicros() : 0;
+        {
+            std::lock_guard<std::mutex> lock(lease.mutex);
+            if (!lease.scene)
+                lease.scene = workload.scene();
+        }
         tapes[g] = buildWorkloadTape(workload, groups[g].variant);
+        {
+            std::lock_guard<std::mutex> lock(lease.mutex);
+            if (--lease.builds_left == 0)
+                lease.scene.reset();
+        }
         tape_bytes[g] = tapes[g].totalBytes();
         tapeSpan(g, "tape_build", t0);
         if (cache_dir.empty())
@@ -509,6 +532,7 @@ runSweep(const std::vector<std::shared_ptr<Workload>> &workloads,
         build_of[g] = builds.size();
         builds.push_back(g);
         after.push_back(kNoTask);
+        ++leases[groups[g].scene].builds_left;
     }
     for (const Cell &cell : cells)
         after.push_back(build_of[cell.group]);

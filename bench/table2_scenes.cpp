@@ -26,11 +26,12 @@ runTable2(JsonReporter &reporter)
     table.setHeader({"scene", "tris", "spheres", "BVH6 nodes", "depth",
                      "BVH (MB)", "paper tris", "paper BVH (MB)"});
     for (const auto &w : workloads) {
-        WideBvhStats stats = w->bvh.computeStats(w->scene());
+        std::shared_ptr<const Scene> scene = w->scene();
+        WideBvhStats stats = w->bvh.computeStats(*scene);
         const PaperSceneInfo &paper = paperSceneInfo(w->id);
         table.addRow({sceneName(w->id),
-                      std::to_string(w->scene().triangleCount()),
-                      std::to_string(w->scene().sphereCount()),
+                      std::to_string(scene->triangleCount()),
+                      std::to_string(scene->sphereCount()),
                       std::to_string(stats.node_count),
                       std::to_string(stats.max_depth),
                       Table::num(stats.footprint_bytes / (1024.0 * 1024.0),
@@ -46,11 +47,12 @@ runTable2(JsonReporter &reporter)
     if (reporter.enabled()) {
         JsonValue scenes = JsonValue::array();
         for (const auto &w : workloads) {
-            WideBvhStats stats = w->bvh.computeStats(w->scene());
+            std::shared_ptr<const Scene> scene = w->scene();
+            WideBvhStats stats = w->bvh.computeStats(*scene);
             JsonValue row = JsonValue::object();
             row["scene"] = sceneName(w->id);
-            row["triangles"] = w->scene().triangleCount();
-            row["spheres"] = w->scene().sphereCount();
+            row["triangles"] = scene->triangleCount();
+            row["spheres"] = scene->sphereCount();
             row["bvh_nodes"] = stats.node_count;
             row["bvh_max_depth"] = stats.max_depth;
             row["bvh_bytes"] = stats.footprint_bytes;

@@ -35,6 +35,9 @@ main(int argc, char **argv)
     std::printf("scene,config,rb,sh,skew,realloc,cycles,instructions,"
                 "ipc,offchip,stack_dram,shared_accesses,conflict_cycles,"
                 "borrows,flushes,l1_miss_rate\n");
+    // Every run builds its tape from the scene: one lease for all of
+    // them, so the scene is generated once.
+    std::shared_ptr<const Scene> scene = workload->scene();
     for (const StackConfig &config : configs) {
         SimResult r = runWorkload(*workload, makeGpuConfig(config));
         std::printf(

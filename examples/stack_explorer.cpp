@@ -26,10 +26,11 @@ main(int argc, char **argv)
 
     std::printf("Preparing %s...\n", sceneName(id));
     auto workload = prepareWorkload(id);
-    WideBvhStats bvh_stats = workload->bvh.computeStats(workload->scene());
+    std::shared_ptr<const Scene> scene = workload->scene();
+    WideBvhStats bvh_stats = workload->bvh.computeStats(*scene);
     std::printf("  %u primitives, BVH6 depth %u, %.2f children/node, "
                 "%.2f prims/leaf\n\n",
-                workload->scene().primitiveCount(), bvh_stats.max_depth,
+                scene->primitiveCount(), bvh_stats.max_depth,
                 bvh_stats.avg_children, bvh_stats.avg_leaf_prims);
 
     SimResult base =

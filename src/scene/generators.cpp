@@ -77,10 +77,9 @@ profileScale(ScaleProfile profile)
     panic("unknown scale profile");
 }
 
-Scene
-makeWknd(ScaleProfile profile)
+void
+makeWknd(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "WKND";
     float s = profileScale(profile);
     Pcg32 rng(0x57444e44, 1);
@@ -124,13 +123,11 @@ makeWknd(ScaleProfile profile)
 
     scene.camera = {{13, 2, 3}, {0, 0.5f, 0}, {0, 1, 0}, 25.0f};
     defaultLight(scene, {8, 14, 6});
-    return scene;
 }
 
-Scene
-makeSprng(ScaleProfile profile)
+void
+makeSprng(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "SPRNG";
     float s = profileScale(profile);
     Pcg32 rng(0x5350524e, 2);
@@ -166,13 +163,11 @@ makeSprng(ScaleProfile profile)
 
     scene.camera = {{0, 4.5f, 19}, {0, 0.6f, 0}, {0, 1, 0}, 42.0f};
     defaultLight(scene, {6, 18, 8});
-    return scene;
 }
 
-Scene
-makeFox(ScaleProfile profile)
+void
+makeFox(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "FOX";
     float s = profileScale(profile);
     BasicMaterials m = addBasicMaterials(scene);
@@ -204,13 +199,11 @@ makeFox(ScaleProfile profile)
 
     scene.camera = {{4.5f, 2.5f, 5.5f}, {0.3f, 1.1f, 0}, {0, 1, 0}, 38.0f};
     defaultLight(scene, {4, 9, 5});
-    return scene;
 }
 
-Scene
-makeLands(ScaleProfile profile)
+void
+makeLands(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "LANDS";
     float s = profileScale(profile);
     BasicMaterials m = addBasicMaterials(scene);
@@ -237,13 +230,11 @@ makeLands(ScaleProfile profile)
 
     scene.camera = {{0, 14, 38}, {0, 1, 0}, {0, 1, 0}, 48.0f};
     defaultLight(scene, {15, 30, 20});
-    return scene;
 }
 
-Scene
-makeCrnvl(ScaleProfile profile)
+void
+makeCrnvl(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "CRNVL";
     float s = profileScale(profile);
     Pcg32 rng(0x43524e56, 5);
@@ -293,13 +284,11 @@ makeCrnvl(ScaleProfile profile)
 
     scene.camera = {{0, 6, 24}, {0, 3, -2}, {0, 1, 0}, 46.0f};
     defaultLight(scene, {0, 22, 10});
-    return scene;
 }
 
-Scene
-makeSpnza(ScaleProfile profile)
+void
+makeSpnza(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "SPNZA";
     float s = profileScale(profile);
     BasicMaterials m = addBasicMaterials(scene);
@@ -364,13 +353,11 @@ makeSpnza(ScaleProfile profile)
 
     scene.camera = {{-14, 3.5f, 0}, {10, 4, 0}, {0, 1, 0}, 52.0f};
     defaultLight(scene, {0, 11, 0});
-    return scene;
 }
 
-Scene
-makeBath(ScaleProfile profile)
+void
+makeBath(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "BATH";
     float s = profileScale(profile);
     BasicMaterials m = addBasicMaterials(scene);
@@ -417,13 +404,11 @@ makeBath(ScaleProfile profile)
     scene.camera = {{2.8f, 1.8f, 3.2f}, {-0.5f, 1.0f, -2.5f}, {0, 1, 0},
                     50.0f};
     defaultLight(scene, {0, 3.0f, 0});
-    return scene;
 }
 
-Scene
-makeRobot(ScaleProfile profile)
+void
+makeRobot(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "ROBOT";
     BasicMaterials m = addBasicMaterials(scene);
     uint16_t metal =
@@ -465,13 +450,11 @@ makeRobot(ScaleProfile profile)
 
     scene.camera = {{4.5f, 3.2f, 5.5f}, {0, 2.4f, 0}, {0, 1, 0}, 42.0f};
     defaultLight(scene, {4, 9, 4});
-    return scene;
 }
 
-Scene
-makeCar(ScaleProfile profile)
+void
+makeCar(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "CAR";
     BasicMaterials m = addBasicMaterials(scene);
     uint16_t paint =
@@ -511,13 +494,11 @@ makeCar(ScaleProfile profile)
 
     scene.camera = {{4.2f, 2.2f, 4.8f}, {0, 0.9f, 0}, {0, 1, 0}, 40.0f};
     defaultLight(scene, {5, 8, 5});
-    return scene;
 }
 
-Scene
-makeParty(ScaleProfile profile)
+void
+makeParty(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "PARTY";
     float s = profileScale(profile);
     Pcg32 rng(0x50415254, 9);
@@ -574,13 +555,11 @@ makeParty(ScaleProfile profile)
 
     scene.camera = {{0, 3.0f, 9.2f}, {0, 1.6f, 0}, {0, 1, 0}, 55.0f};
     defaultLight(scene, {0, 5.6f, 0});
-    return scene;
 }
 
-Scene
-makeFrst(ScaleProfile profile)
+void
+makeFrst(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "FRST";
     float s = profileScale(profile);
     Pcg32 rng(0x46525354, 10);
@@ -613,13 +592,11 @@ makeFrst(ScaleProfile profile)
 
     scene.camera = {{0, 3.4f, 23}, {0, 2.0f, 0}, {0, 1, 0}, 50.0f};
     defaultLight(scene, {10, 24, 12});
-    return scene;
 }
 
-Scene
-makeBunny(ScaleProfile profile)
+void
+makeBunny(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "BUNNY";
     BasicMaterials m = addBasicMaterials(scene);
     uint16_t fur =
@@ -651,13 +628,11 @@ makeBunny(ScaleProfile profile)
 
     scene.camera = {{3.2f, 2.0f, 3.6f}, {0, 1.2f, 0}, {0, 1, 0}, 40.0f};
     defaultLight(scene, {3, 7, 4});
-    return scene;
 }
 
-Scene
-makeShip(ScaleProfile profile)
+void
+makeShip(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "SHIP";
     float s = profileScale(profile);
     Pcg32 rng(0x53484950, 12);
@@ -719,13 +694,11 @@ makeShip(ScaleProfile profile)
 
     scene.camera = {{14, 6, 14}, {0, 4.5f, 0}, {0, 1, 0}, 44.0f};
     defaultLight(scene, {12, 20, 8});
-    return scene;
 }
 
-Scene
-makeRef(ScaleProfile profile)
+void
+makeRef(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "REF";
     float s = profileScale(profile);
     BasicMaterials m = addBasicMaterials(scene);
@@ -760,13 +733,11 @@ makeRef(ScaleProfile profile)
 
     scene.camera = {{0, 2.6f, 7.5f}, {0, 1.4f, -2}, {0, 1, 0}, 48.0f};
     defaultLight(scene, {0, 7, 3});
-    return scene;
 }
 
-Scene
-makeChsnt(ScaleProfile profile)
+void
+makeChsnt(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "CHSNT";
     float s = profileScale(profile);
     Pcg32 rng(0x4348534e, 14);
@@ -818,13 +789,11 @@ makeChsnt(ScaleProfile profile)
 
     scene.camera = {{9, 4.5f, 11}, {0, 5.0f, 0}, {0, 1, 0}, 46.0f};
     defaultLight(scene, {8, 16, 8});
-    return scene;
 }
 
-Scene
-makePark(ScaleProfile profile)
+void
+makePark(Scene &scene, ScaleProfile profile)
 {
-    Scene scene;
     scene.name = "PARK";
     float s = profileScale(profile);
     Pcg32 rng(0x5041524b, 15);
@@ -876,7 +845,6 @@ makePark(ScaleProfile profile)
 
     scene.camera = {{0, 4.0f, 26}, {2, 1.5f, 0}, {0, 1, 0}, 50.0f};
     defaultLight(scene, {12, 26, 14});
-    return scene;
 }
 
 } // namespace generators

@@ -19,22 +19,22 @@ namespace generators {
  */
 float profileScale(ScaleProfile profile);
 
-Scene makeWknd(ScaleProfile profile);
-Scene makeSprng(ScaleProfile profile);
-Scene makeFox(ScaleProfile profile);
-Scene makeLands(ScaleProfile profile);
-Scene makeCrnvl(ScaleProfile profile);
-Scene makeSpnza(ScaleProfile profile);
-Scene makeBath(ScaleProfile profile);
-Scene makeRobot(ScaleProfile profile);
-Scene makeCar(ScaleProfile profile);
-Scene makeParty(ScaleProfile profile);
-Scene makeFrst(ScaleProfile profile);
-Scene makeBunny(ScaleProfile profile);
-Scene makeShip(ScaleProfile profile);
-Scene makeRef(ScaleProfile profile);
-Scene makeChsnt(ScaleProfile profile);
-Scene makePark(ScaleProfile profile);
+void makeWknd(Scene &scene, ScaleProfile profile);
+void makeSprng(Scene &scene, ScaleProfile profile);
+void makeFox(Scene &scene, ScaleProfile profile);
+void makeLands(Scene &scene, ScaleProfile profile);
+void makeCrnvl(Scene &scene, ScaleProfile profile);
+void makeSpnza(Scene &scene, ScaleProfile profile);
+void makeBath(Scene &scene, ScaleProfile profile);
+void makeRobot(Scene &scene, ScaleProfile profile);
+void makeCar(Scene &scene, ScaleProfile profile);
+void makeParty(Scene &scene, ScaleProfile profile);
+void makeFrst(Scene &scene, ScaleProfile profile);
+void makeBunny(Scene &scene, ScaleProfile profile);
+void makeShip(Scene &scene, ScaleProfile profile);
+void makeRef(Scene &scene, ScaleProfile profile);
+void makeChsnt(Scene &scene, ScaleProfile profile);
+void makePark(Scene &scene, ScaleProfile profile);
 
 } // namespace generators
 } // namespace sms

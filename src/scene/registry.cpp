@@ -61,45 +61,62 @@ paperSceneInfo(SceneId id)
     return kPaperInfo[static_cast<int>(id)];
 }
 
-Scene
-makeScene(SceneId id, ScaleProfile profile)
+namespace {
+
+using Generator = void (*)(Scene &, ScaleProfile);
+
+/** The generator that fills in scene @p id. */
+Generator
+generatorOf(SceneId id)
 {
     using namespace generators;
     switch (id) {
       case SceneId::WKND:
-        return makeWknd(profile);
+        return makeWknd;
       case SceneId::SPRNG:
-        return makeSprng(profile);
+        return makeSprng;
       case SceneId::FOX:
-        return makeFox(profile);
+        return makeFox;
       case SceneId::LANDS:
-        return makeLands(profile);
+        return makeLands;
       case SceneId::CRNVL:
-        return makeCrnvl(profile);
+        return makeCrnvl;
       case SceneId::SPNZA:
-        return makeSpnza(profile);
+        return makeSpnza;
       case SceneId::BATH:
-        return makeBath(profile);
+        return makeBath;
       case SceneId::ROBOT:
-        return makeRobot(profile);
+        return makeRobot;
       case SceneId::CAR:
-        return makeCar(profile);
+        return makeCar;
       case SceneId::PARTY:
-        return makeParty(profile);
+        return makeParty;
       case SceneId::FRST:
-        return makeFrst(profile);
+        return makeFrst;
       case SceneId::BUNNY:
-        return makeBunny(profile);
+        return makeBunny;
       case SceneId::SHIP:
-        return makeShip(profile);
+        return makeShip;
       case SceneId::REF:
-        return makeRef(profile);
+        return makeRef;
       case SceneId::CHSNT:
-        return makeChsnt(profile);
+        return makeChsnt;
       case SceneId::PARK:
-        return makePark(profile);
+        return makePark;
     }
     panic("unknown scene id %d", static_cast<int>(id));
+}
+
+} // namespace
+
+Scene
+makeScene(SceneId id, ScaleProfile profile, uint32_t max_primitives)
+{
+    Scene scene;
+    scene.reserve(max_primitives);
+    generatorOf(id)(scene, profile);
+    scene.shrinkToFit();
+    return scene;
 }
 
 } // namespace sms

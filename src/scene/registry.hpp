@@ -73,8 +73,18 @@ struct PaperSceneInfo
 /** Paper Table II row for a scene. */
 const PaperSceneInfo &paperSceneInfo(SceneId id);
 
-/** Build a scene deterministically. */
-Scene makeScene(SceneId id, ScaleProfile profile = ScaleProfile::Small);
+/**
+ * Build a scene deterministically. Its primitive arrays end exactly
+ * sized.
+ *
+ * @param max_primitives a bound on the scene's primitive count, when
+ *                       the caller knows one (a workload knows it from
+ *                       its BVH): the arrays are reserved to it and
+ *                       never regrow. 0 grows them as the generator
+ *                       emits primitives.
+ */
+Scene makeScene(SceneId id, ScaleProfile profile = ScaleProfile::Small,
+                uint32_t max_primitives = 0);
 
 } // namespace sms
 

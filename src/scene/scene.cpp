@@ -44,6 +44,24 @@ Scene::addSphere(const Sphere &s, uint16_t material)
     sphere_materials_.push_back(material);
 }
 
+void
+Scene::reserve(uint32_t primitives)
+{
+    triangles_.reserve(primitives);
+    triangle_materials_.reserve(primitives);
+    spheres_.reserve(primitives);
+    sphere_materials_.reserve(primitives);
+}
+
+void
+Scene::shrinkToFit()
+{
+    triangles_.shrinkToFit();
+    triangle_materials_.shrinkToFit();
+    spheres_.shrinkToFit();
+    sphere_materials_.shrinkToFit();
+}
+
 Aabb
 Scene::primitiveBounds(uint32_t id) const
 {

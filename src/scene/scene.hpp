@@ -13,7 +13,12 @@
 #define SMS_SCENE_SCENE_HPP
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/geometry/aabb.hpp"
@@ -50,6 +55,96 @@ struct LightDesc
 };
 
 /**
+ * A growable array of trivially copyable elements that grows with
+ * realloc(). glibc serves a block at or above its mmap threshold
+ * (fixed at 1 MiB, src/trace/render.cpp) by remapping its pages, so
+ * growth never copies the filled storage or faults it in again, as a
+ * std::vector's allocate-copy-free regrowth does. The scene's
+ * primitive arrays are the largest buffers a scene generator grows.
+ */
+template <typename T>
+class PodArray
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+
+  public:
+    PodArray() = default;
+    PodArray(const PodArray &other)
+    {
+        reserve(other.size_);
+        if (other.size_ != 0)
+            std::memcpy(static_cast<void *>(data_), other.data_,
+                        other.size_ * sizeof(T));
+        size_ = other.size_;
+    }
+    PodArray(PodArray &&other) noexcept
+        : data_(std::exchange(other.data_, nullptr)),
+          size_(std::exchange(other.size_, 0)),
+          capacity_(std::exchange(other.capacity_, 0))
+    {}
+    PodArray &
+    operator=(PodArray other) noexcept
+    {
+        std::swap(data_, other.data_);
+        std::swap(size_, other.size_);
+        std::swap(capacity_, other.capacity_);
+        return *this;
+    }
+    ~PodArray() { std::free(data_); }
+
+    size_t size() const { return size_; }
+    size_t capacity() const { return capacity_; }
+    const T *data() const { return data_; }
+    const T *begin() const { return data_; }
+    const T *end() const { return data_ + size_; }
+    const T &operator[](size_t i) const { return data_[i]; }
+
+    void
+    push_back(const T &value)
+    {
+        if (size_ == capacity_)
+            setCapacity(capacity_ ? 2 * capacity_ : 16);
+        data_[size_++] = value;
+    }
+
+    /** Room for @p n elements, so that many are appended in place. */
+    void
+    reserve(size_t n)
+    {
+        if (n > capacity_)
+            setCapacity(n);
+    }
+
+    /** Give back the room past size() (in place: realloc shrinks). */
+    void
+    shrinkToFit()
+    {
+        if (capacity_ > size_)
+            setCapacity(size_);
+    }
+
+  private:
+    void
+    setCapacity(size_t n)
+    {
+        if (n == 0) {
+            std::free(data_);
+            data_ = nullptr;
+        } else {
+            void *grown = std::realloc(data_, n * sizeof(T));
+            if (!grown)
+                throw std::bad_alloc();
+            data_ = static_cast<T *>(grown);
+        }
+        capacity_ = n;
+    }
+
+    T *data_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
+};
+
+/**
  * A renderable scene. Primitive id p resolves to triangles[p] when
  * p < triangleCount(), otherwise to spheres[p - triangleCount()].
  */
@@ -69,9 +164,30 @@ class Scene
         return triangleCount() + sphereCount();
     }
 
-    const std::vector<Triangle> &triangles() const { return triangles_; }
-    const std::vector<Sphere> &spheres() const { return spheres_; }
+    const PodArray<Triangle> &triangles() const { return triangles_; }
+    const PodArray<Sphere> &spheres() const { return spheres_; }
     const std::vector<Material> &materials() const { return materials_; }
+    /** Material id of each triangle, then of each sphere. */
+    const PodArray<uint16_t> &
+    triangleMaterials() const
+    {
+        return triangle_materials_;
+    }
+    const PodArray<uint16_t> &
+    sphereMaterials() const
+    {
+        return sphere_materials_;
+    }
+
+    /**
+     * Room for @p primitives primitives of either kind, so a generator
+     * that emits at most that many never regrows an array. The room
+     * nothing fills is address space only until shrinkToFit().
+     */
+    void reserve(uint32_t primitives);
+
+    /** Give back the primitive arrays' room past their sizes. */
+    void shrinkToFit();
 
     /** Register a material, returning its id. */
     uint16_t addMaterial(const Material &m);
@@ -129,10 +245,10 @@ class Scene
     uint64_t primitiveDataBytes() const;
 
   private:
-    std::vector<Triangle> triangles_;
-    std::vector<Sphere> spheres_;
-    std::vector<uint16_t> triangle_materials_;
-    std::vector<uint16_t> sphere_materials_;
+    PodArray<Triangle> triangles_;
+    PodArray<Sphere> spheres_;
+    PodArray<uint16_t> triangle_materials_;
+    PodArray<uint16_t> sphere_materials_;
     std::vector<Material> materials_;
 };
 

@@ -210,6 +210,7 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
     std::array<HitRecord, kWarpSize> hits;
     std::array<uint32_t, kWarpSize> sl_cur{}, sl_parent{};
     std::array<int, kWarpSize> sl_slot{}, sl_resume{};
+    std::array<uint32_t, kWarpSize> visits;
     FetchLineList lines;
 
     for (uint32_t j = 0; j < jobs.size(); ++j) {
@@ -297,26 +298,45 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
             // Fetch: the lines this step needs across the running
             // lanes, coalesced as the RT unit's memory scheduler does.
             // Stackless lanes fetch the node they visit (backtracking
-            // revisits included), stack lanes their stack top.
-            lines.clear();
-            bool has_internal = false;
-            bool has_leaf = false;
-            uint32_t max_leaf_prims = 0;
+            // revisits included), stack lanes their stack top. Lanes
+            // that visit the same node or leaf fetch the same lines, so
+            // each distinct reference adds its lines once.
+            uint32_t visit_count = 0;
             for (uint32_t m = running; m != 0; m &= m - 1) {
                 uint32_t i = static_cast<uint32_t>(__builtin_ctz(m));
-                ChildRef cur =
-                    stackless ? ChildRef::fromBits(sl_cur[i])
-                              : ChildRef::fromStackValue(stacks[i].back());
-                if (cur.isInternal()) {
-                    // The layout sets the footprint: quantized nodes
-                    // pack tighter, so fewer lines cover a visit.
-                    has_internal = true;
-                    const NodeLayoutConfig &layout = variant.layout;
-                    addFetchRange(lines, layout.nodeAddress(cur.nodeIndex()),
-                                  layout.nodeBytes(), TrafficClass::Node);
-                    continue;
-                }
-                has_leaf = true;
+                uint32_t ref =
+                    stackless ? sl_cur[i]
+                              : ChildRef::fromStackValue(stacks[i].back())
+                                    .bits();
+                // Neighbouring lanes often visit the same node.
+                if (visit_count == 0 || visits[visit_count - 1] != ref)
+                    visits[visit_count++] = ref;
+            }
+            std::sort(visits.begin(), visits.begin() + visit_count);
+            visit_count = static_cast<uint32_t>(
+                std::unique(visits.begin(), visits.begin() + visit_count) -
+                visits.begin());
+            // Internal references sort before leaves, and by node index,
+            // so the node lines arrive in address order, below every
+            // primitive line; only the primitive lines need sorting.
+            lines.clear();
+            uint32_t v = 0;
+            for (; v < visit_count; ++v) {
+                ChildRef cur = ChildRef::fromBits(visits[v]);
+                if (!cur.isInternal())
+                    break;
+                // The layout sets the footprint: quantized nodes pack
+                // tighter, so fewer lines cover a visit.
+                const NodeLayoutConfig &layout = variant.layout;
+                addFetchRange(lines, layout.nodeAddress(cur.nodeIndex()),
+                              layout.nodeBytes(), TrafficClass::Node);
+            }
+            const bool has_internal = v != 0;
+            const bool has_leaf = v != visit_count;
+            const size_t node_lines = lines.size();
+            uint32_t max_leaf_prims = 0;
+            for (; v < visit_count; ++v) {
+                ChildRef cur = ChildRef::fromBits(visits[v]);
                 max_leaf_prims = std::max(max_leaf_prims, cur.primCount());
                 for (uint32_t p = 0; p < cur.primCount(); ++p) {
                     uint32_t prim = bvh.primIndices()[cur.primOffset() + p];
@@ -326,7 +346,7 @@ buildTraversalTape(const Scene &scene, const WideBvh &bvh,
                 }
             }
             // Packed entries sort exactly like (line, class) pairs.
-            std::sort(lines.begin(), lines.end());
+            std::sort(lines.begin() + node_lines, lines.end());
             lines.erase(std::unique(lines.begin(), lines.end()),
                         lines.end());
             writer.fetchPhase(lines, has_internal, has_leaf,

@@ -67,16 +67,16 @@ merge64(uint64_t acc, uint64_t lane_acc)
 } // namespace
 
 uint64_t
-xxh64(const void *data, size_t n)
+xxh64(const void *data, size_t n, uint64_t seed)
 {
     const unsigned char *p = static_cast<const unsigned char *>(data);
     const unsigned char *const end = p + n;
     uint64_t acc;
     if (n >= 32) {
-        uint64_t a1 = kPrime1 + kPrime2;
-        uint64_t a2 = kPrime2;
-        uint64_t a3 = 0;
-        uint64_t a4 = 0 - kPrime1;
+        uint64_t a1 = seed + kPrime1 + kPrime2;
+        uint64_t a2 = seed + kPrime2;
+        uint64_t a3 = seed;
+        uint64_t a4 = seed - kPrime1;
         for (const unsigned char *last = end - 32; p <= last; p += 32) {
             a1 = round64(a1, load64(p));
             a2 = round64(a2, load64(p + 8));
@@ -90,7 +90,7 @@ xxh64(const void *data, size_t n)
         acc = merge64(acc, a3);
         acc = merge64(acc, a4);
     } else {
-        acc = kPrime5;
+        acc = seed + kPrime5;
     }
     acc += n;
     for (; end - p >= 8; p += 8)

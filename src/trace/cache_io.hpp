@@ -49,12 +49,13 @@ uint64_t fnv1a(const void *data, size_t n,
                uint64_t h = 0xcbf29ce484222325ull);
 
 /**
- * XXH64 of @p n bytes with seed 0, as the xxHash specification defines
+ * XXH64 of @p n bytes with @p seed, as the xxHash specification defines
  * it: four accumulators take the 8-byte lanes of each 32-byte stripe
- * independently, so the loop runs near memory speed. The checksum of
- * every cache envelope.
+ * independently, so the loop runs near memory speed. With seed 0, the
+ * checksum of every cache envelope; chained through the seed, the
+ * scene hash (sceneHash()).
  */
-uint64_t xxh64(const void *data, size_t n);
+uint64_t xxh64(const void *data, size_t n, uint64_t seed = 0);
 
 /**
  * Append-only little-endian serializer. Built with a magic it writes a

@@ -5,12 +5,15 @@
 
 #include "src/trace/render.hpp"
 
+#include <array>
+
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
 
 #include "src/sim/ray_reorder.hpp"
 #include "src/stats/timeline.hpp"
+#include "src/trace/cache_io.hpp"
 #include "src/trace/workload_cache.hpp"
 #include "src/util/check.hpp"
 
@@ -52,38 +55,77 @@ fixMallocThresholds()
 } // namespace
 #endif
 
+uint64_t
+sceneHash(const Scene &scene)
+{
+    // Bytes are hashed as they lie in memory, so no part may hold
+    // padding.
+    static_assert(sizeof(CameraDesc) == 10 * sizeof(float) &&
+                  sizeof(LightDesc) == 6 * sizeof(float) &&
+                  sizeof(Material) == 7 * sizeof(float) &&
+                  sizeof(Triangle) == 9 * sizeof(float) &&
+                  sizeof(Sphere) == 4 * sizeof(float));
+    uint64_t h = xxh64(scene.name.data(), scene.name.size());
+    auto add = [&h](const auto &array) {
+        h = xxh64(array.data(), array.size() * sizeof(array[0]), h);
+    };
+    add(std::array{scene.camera});
+    add(std::array{scene.light});
+    add(scene.materials());
+    add(scene.triangles());
+    add(scene.triangleMaterials());
+    add(scene.spheres());
+    add(scene.sphereMaterials());
+    return h;
+}
+
 Workload::Workload(SceneId id_, ScaleProfile profile_, Scene scene_,
                    WideBvh bvh_, RenderParams params_,
                    RenderOutput render_)
     : id(id_), profile(profile_), bvh(std::move(bvh_)), params(params_),
-      render(std::move(render_)), stored_scene_(std::move(scene_))
-{}
+      render(std::move(render_)), scene_hash(sceneHash(scene_))
+{
+    SMS_ASSERT(scene_.primitiveCount() == bvh.primIndices().size(),
+               "scene %s has %u primitives, but its BVH indexes %zu",
+               sceneName(id), scene_.primitiveCount(),
+               bvh.primIndices().size());
+}
 
 Workload::Workload(SceneId id_, ScaleProfile profile_, WideBvh bvh_,
-                   RenderParams params_, RenderOutput render_)
+                   RenderParams params_, RenderOutput render_,
+                   uint64_t scene_hash_)
     : id(id_), profile(profile_), bvh(std::move(bvh_)), params(params_),
-      render(std::move(render_))
+      render(std::move(render_)), scene_hash(scene_hash_)
 {}
 
-const Scene &
+std::shared_ptr<const Scene>
 Workload::scene() const
 {
-    std::call_once(scene_once_, [this] {
-        if (stored_scene_)
-            return;
-        stored_scene_.emplace(makeScene(id, profile));
-        // Scene generation is deterministic, so the regenerated scene
-        // is the one the BVH was built over, unless the generators
-        // changed without a snapshot version bump.
-        SMS_ASSERT(stored_scene_->primitiveCount() ==
-                       bvh.primIndices().size(),
-                   "scene %s regenerated with %u primitives, but its "
-                   "BVH indexes %zu",
-                   sceneName(id), stored_scene_->primitiveCount(),
-                   bvh.primIndices().size());
-        noteSceneRebuild();
-    });
-    return *stored_scene_;
+    std::lock_guard<std::mutex> lock(scene_mutex_);
+    if (std::shared_ptr<const Scene> live = leased_scene_.lock())
+        return live;
+    // The BVH indexes every primitive once, so its index count is the
+    // scene's primitive count and the arrays never regrow.
+    auto scene = std::make_shared<const Scene>(
+        makeScene(id, profile,
+                  static_cast<uint32_t>(bvh.primIndices().size())));
+    // Scene generation is deterministic, so the regenerated scene is
+    // the one the BVH was built over, unless the generators changed
+    // without a snapshot version bump.
+    SMS_ASSERT(scene->primitiveCount() == bvh.primIndices().size(),
+               "scene %s regenerated with %u primitives, but its BVH "
+               "indexes %zu",
+               sceneName(id), scene->primitiveCount(),
+               bvh.primIndices().size());
+    uint64_t hash = sceneHash(*scene);
+    SMS_ASSERT(hash == scene_hash,
+               "scene %s regenerated with hash %016llx, but it was "
+               "prepared from %016llx",
+               sceneName(id), static_cast<unsigned long long>(hash),
+               static_cast<unsigned long long>(scene_hash));
+    noteSceneRebuild();
+    leased_scene_ = scene;
+    return scene;
 }
 
 std::shared_ptr<Workload>
@@ -155,7 +197,7 @@ TraversalTape
 buildWorkloadTape(const Workload &workload, const TraversalVariant &variant)
 {
     WarpJobList storage;
-    return buildTraversalTape(workload.scene(), workload.bvh,
+    return buildTraversalTape(*workload.scene(), workload.bvh,
                               simulatedJobs(workload, variant.order,
                                             storage),
                               variant);
@@ -173,7 +215,7 @@ runWorkload(const Workload &workload, const GpuConfig &config,
     // sweeps build each (scene, variant) tape once and share it.
     TraversalTape built;
     if (!opts.tape) {
-        built = buildTraversalTape(workload.scene(), workload.bvh, jobs,
+        built = buildTraversalTape(*workload.scene(), workload.bvh, jobs,
                                    config.variant());
         opts.tape = &built;
     }

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "src/bvh/wide_bvh.hpp"
@@ -22,12 +21,21 @@
 namespace sms {
 
 /**
+ * XXH64 of everything a scene holds: its name, camera, light,
+ * materials, primitives and their material ids, each part's bytes
+ * hashed with the previous part's hash as the seed.
+ */
+uint64_t sceneHash(const Scene &scene);
+
+/**
  * A fully prepared, configuration-independent workload.
  *
  * Only the functional pass (buildWorkloadTape) and scene diagnostics
  * read the scene; replaying a tape needs the BVH and the job stream
- * alone. So a workload loaded from a snapshot carries no scene, and
- * scene() regenerates it on first use.
+ * alone. So a workload holds no scene: scene() hands out a shared
+ * lease on one, regenerated when no lease is alive, and the scene is
+ * freed when the last lease drops. A freshly prepared workload and one
+ * loaded from a snapshot are the same kind of object.
  */
 struct Workload
 {
@@ -36,30 +44,38 @@ struct Workload
     WideBvh bvh;
     RenderParams params;
     RenderOutput render;
+    /** sceneHash() of the scene the workload was prepared from. */
+    uint64_t scene_hash;
 
-    /** A freshly prepared workload, which keeps its scene. */
+    /**
+     * A freshly prepared workload. @p scene_ must be the scene the BVH
+     * was built over; the workload records its hash and drops it.
+     */
     Workload(SceneId id_, ScaleProfile profile_, Scene scene_,
              WideBvh bvh_, RenderParams params_, RenderOutput render_);
 
-    /** A workload without its scene (loaded from a snapshot). */
+    /** A workload loaded from a snapshot, which records the hash. */
     Workload(SceneId id_, ScaleProfile profile_, WideBvh bvh_,
-             RenderParams params_, RenderOutput render_);
+             RenderParams params_, RenderOutput render_,
+             uint64_t scene_hash_);
 
     Workload(const Workload &) = delete;
     Workload &operator=(const Workload &) = delete;
 
     /**
-     * The scene: the one the workload was prepared from, or, for a
-     * scene-less workload, makeScene(id, profile) built by the first
-     * call. Thread-safe; a workload regenerates its scene at most once,
-     * checks it against the BVH's primitive count, and counts it in
-     * WorkloadCacheStats::scene_rebuilds.
+     * A lease on the scene: the one another lease keeps alive, or
+     * makeScene(id, profile) reserved to the BVH's primitive count.
+     * Thread-safe; callers that ask at once share one regeneration,
+     * which must match scene_hash and is counted in
+     * WorkloadCacheStats::scene_rebuilds. Hold the lease for as long
+     * as the scene is read: once none is alive, the next call
+     * regenerates the scene.
      */
-    const Scene &scene() const;
+    std::shared_ptr<const Scene> scene() const;
 
   private:
-    mutable std::once_flag scene_once_;
-    mutable std::optional<Scene> stored_scene_;
+    mutable std::mutex scene_mutex_;
+    mutable std::weak_ptr<const Scene> leased_scene_;
 };
 
 /**

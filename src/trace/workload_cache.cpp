@@ -7,8 +7,9 @@
  * everything before it. Floats are serialized as their IEEE-754 bit
  * patterns, so a reload is bit-exact — the timing simulation over a
  * snapshot is counter-identical to one over a freshly prepared
- * workload. The scene is not stored: Workload::scene() regenerates it
- * for the few readers that need it.
+ * workload. The scene is not stored, only its hash: Workload::scene()
+ * regenerates it for the few readers that need it and checks it
+ * against the hash.
  */
 
 #include "src/trace/workload_cache.hpp"
@@ -228,7 +229,7 @@ readBvh(CacheReader &r, WideBvh &bvh)
     if (!r.ok() || bad_ref || prim_end > index_count)
         return false;
     // The indices name the scene's primitives, which number exactly
-    // index_count (Workload::scene() checks it).
+    // index_count (Workload::scene() checks it and the scene hash).
     std::vector<uint32_t> indices;
     indices.reserve(index_count);
     uint64_t prim_bound = 0; // one past the largest index
@@ -444,6 +445,8 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
         return invalid("key mismatch");
     if (!readAndCheckParams(r, params))
         return invalid("render params mismatch");
+    // Only a regeneration can check the scene hash (Workload::scene()).
+    uint64_t scene_hash = r.u64();
 
     WideBvh bvh;
     if (!readBvh(r, bvh))
@@ -456,7 +459,7 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
 
     ++g_hits;
     return std::make_shared<Workload>(id, profile, std::move(bvh), params,
-                                      std::move(*render));
+                                      std::move(*render), scene_hash);
 }
 
 bool
@@ -469,7 +472,7 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
              dir.c_str());
         return false;
     }
-    CacheWriter w(kMagic, 4 + 8 + 1 + 1 + kParamsBytes +
+    CacheWriter w(kMagic, 4 + 8 + 1 + 1 + kParamsBytes + 8 +
                               bvhBytes(workload.bvh) +
                               renderBytes(workload.render));
     w.u32(kWorkloadSnapshotVersion);
@@ -477,6 +480,7 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
     w.u8(static_cast<uint8_t>(workload.id));
     w.u8(static_cast<uint8_t>(profile));
     writeParams(w, params);
+    w.u64(workload.scene_hash);
     writeBvh(w, workload.bvh);
     writeRender(w, workload.render);
 

@@ -10,9 +10,10 @@
  * warp-job stream to a versioned binary file keyed by (scene,
  * geometry profile, render params, build schema), so subsequent runs —
  * in the same binary or any other — deserialize in milliseconds
- * instead of re-tracing. The scene is not stored: a warm sweep replays
- * tapes and never reads it, and Workload::scene() regenerates it for
- * the readers that do (tape builds, scene statistics).
+ * instead of re-tracing. The scene is not stored, only its hash: a
+ * warm sweep replays tapes and never reads it, and Workload::scene()
+ * regenerates it for the readers that do (tape builds, scene
+ * statistics) and checks it against the hash.
  *
  * Enabled by pointing SMS_WORKLOAD_CACHE at a directory (created on
  * first store). Any validation failure — wrong magic, version, schema
@@ -44,7 +45,7 @@ namespace sms {
  * layout or to the deterministic content of prepared workloads (scene
  * generators, BVH builder, path tracer, warp-job emission).
  */
-constexpr uint32_t kWorkloadSnapshotVersion = 2;
+constexpr uint32_t kWorkloadSnapshotVersion = 3;
 
 /** Counters over all snapshot-cache activity of this process. */
 struct WorkloadCacheStats
@@ -53,7 +54,7 @@ struct WorkloadCacheStats
     uint64_t misses = 0;   ///< lookups that had to rebuild
     uint64_t stores = 0;   ///< snapshots written
     uint64_t failures = 0; ///< invalid/unreadable snapshots discarded
-    /** Scenes regenerated for workloads loaded without one. */
+    /** Scenes regenerated by Workload::scene() (no lease alive). */
     uint64_t scene_rebuilds = 0;
 };
 

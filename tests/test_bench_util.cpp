@@ -4,7 +4,7 @@
  * the normalized-IPC geomean (a zero-IPC config must not abort the
  * sweep), the off-chip normalization direction fix, strict SMS_FULL
  * parsing, the JsonReporter flag/path plumbing, and which sweeps
- * regenerate the scene of a workload loaded from a snapshot.
+ * regenerate a workload's scene, and how often.
  */
 
 #include <gtest/gtest.h>
@@ -386,6 +386,45 @@ TEST(RunSweep, WarmTapeSweepRebuildsNoScene)
     EXPECT_EQ(traversalTapeStats().jobs_recorded, 0u);
     EXPECT_EQ(workloadCacheStats().scene_rebuilds, 0u);
     expectSameCells(cold, warm);
+}
+
+TEST(RunSweep, ColdSweepGeneratesEachSceneOnceAndKeepsNone)
+{
+    // Set-up ends with no scene in memory. A cold sweep generates each
+    // scene once more, for all of its tape builds (two traversal
+    // variants here, so two builds per scene, one after the other on
+    // one thread), and frees it. Its cells equal runWorkload's.
+    ScopedEnv env("SMS_WORKLOAD_CACHE", nullptr);
+    ScopedEnv no_results("SMS_RESULT_CACHE", nullptr);
+    const std::vector<SweepColumn> columns = {
+        SweepColumn{.stack = StackConfig::baseline(8)},
+        SweepColumn{.stack = StackConfig::sms()},
+        SweepColumn{.stack = StackConfig::sms(),
+                    .layout = NodeLayoutConfig::quantized(8)},
+    };
+    resetWorkloadCacheStats();
+    const std::vector<std::shared_ptr<Workload>> workloads = {
+        prepareWorkload(SceneId::WKND, ScaleProfile::Tiny),
+        prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny)};
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 0u);
+    for (unsigned threads : {1u, 4u}) {
+        resetWorkloadCacheStats();
+        SweepResult sweep = runSweep(workloads, columns, threads);
+        EXPECT_EQ(workloadCacheStats().scene_rebuilds, 2u)
+            << threads << " threads";
+        // No workload kept its scene: a new lease regenerates each.
+        for (const auto &w : workloads)
+            w->scene();
+        EXPECT_EQ(workloadCacheStats().scene_rebuilds, 4u)
+            << threads << " threads";
+        for (size_t s = 0; s < workloads.size(); ++s)
+            for (size_t c = 0; c < columns.size(); ++c)
+                EXPECT_EQ(toJson(sweep.results[s][c]).dump(),
+                          toJson(runWorkload(*workloads[s],
+                                             columns[c].gpuConfig()))
+                              .dump())
+                    << sweep.sceneLabel(s) << " " << sweep.configLabel(c);
+    }
 }
 
 TEST(RunSweep, CorruptTapesRebuildTheSceneOnce)

@@ -198,7 +198,9 @@ const BvhPin kBvhPins[] = {
     {SceneId::CHSNT, ScaleProfile::Small, 260592, 2, 0x74f4bb4136f1d697},
     {SceneId::PARK, ScaleProfile::Small, 610914, 3, 0xab249691ae645330},
 };
-constexpr uint64_t kTinyBunnySnapshotBodyHash = 0xb191dc72e9b5efae;
+// .wkld v3: the v2 body with the version and schema-hash fields changed
+// and the 8-byte scene hash inserted after the render params.
+constexpr uint64_t kTinyBunnySnapshotBodyHash = 0xe323111508fdd978;
 constexpr uint64_t kTinyBunnyTapeBodyHash = 0x5c26c1aed7c6deaa;
 // clang-format on
 

@@ -22,6 +22,10 @@
  * the largest request). One mutant of each kind then goes through the
  * production path, which must count the failure and rebuild the file.
  *
+ * The snapshot's scene hash cannot be checked until the scene is
+ * regenerated, so a resealed flip of it loads, and regenerating the
+ * scene of that workload must stop the program.
+ *
  * A resealed snapshot may also name what it does not hold: a node, a
  * primitive range or index, a job or a warp past the end of its array.
  * Replay follows those references unchecked, so a set of such mutants,
@@ -148,8 +152,11 @@ resealed(std::string file)
 struct Fields
 {
     std::vector<size_t> ends{0}; ///< offset after each field
-    /** First byte and width of each count or size field. */
-    std::vector<std::pair<size_t, size_t>> sizes;
+    /**
+     * First byte and width of each field whose every bit is flipped:
+     * the count and size fields, and the snapshot's scene hash.
+     */
+    std::vector<std::pair<size_t, size_t>> every_bit;
 };
 
 /**
@@ -172,8 +179,16 @@ class FieldWalker
     uint64_t
     size(size_t width)
     {
-        fields_.sizes.push_back({off_, width});
+        fields_.every_bit.push_back({off_, width});
         return width == 4 ? u32() : u64();
+    }
+
+    /** A u64 hash field, whose every bit is flipped too. */
+    void
+    hash()
+    {
+        fields_.every_bit.push_back({off_, 8});
+        u64();
     }
 
     uint8_t
@@ -254,7 +269,7 @@ childCountAt(size_t node)
 }
 
 /**
- * The fields of a .wkld v2 snapshot, through its last body byte; with
+ * The fields of a .wkld v3 snapshot, through its last body byte; with
  * @p refs, also where its references are.
  */
 Fields
@@ -271,6 +286,7 @@ snapshotFields(const std::string &file, SnapshotRefs *refs = nullptr)
         w.u32(); // width, height, spp, max bounces
     w.u8();      // shadow rays
     w.u64();     // seed
+    w.hash();    // scene hash
     found.root = w.offset();
     w.u32(); // root reference
     uint64_t nodes = w.size(8);
@@ -461,7 +477,7 @@ mutateAll(const Reader &reader, const std::string &pristine,
     for (size_t at = 0; at < header; ++at)
         for (int bit = 0; bit < 8; ++bit)
             flip(at, bit);
-    for (auto [first, width] : fields.sizes)
+    for (auto [first, width] : fields.every_bit)
         for (size_t at = first; at < first + width; ++at)
             for (int bit = 0; bit < 8; ++bit)
                 flip(at, bit);
@@ -529,6 +545,38 @@ TEST(CacheMutation, SnapshotMutantsAreCountedFailures)
         std::string rewritten;
         ASSERT_TRUE(readFile(reader.path, rewritten));
         EXPECT_TRUE(rewritten == pristine);
+    }
+}
+
+TEST(CacheMutation, SnapshotSceneHashIsCheckedOnRegeneration)
+{
+    // Only the scene can check its hash, so a resealed flip of the
+    // scene hash loads. Regenerating the scene then stops the program,
+    // as a primitive-count mismatch does.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TempDir dir("wkld_scene_hash");
+    auto w = smallBunny();
+    ASSERT_TRUE(saveWorkloadSnapshot(dir.path(), *w, w->profile, w->params));
+    const std::string path =
+        workloadSnapshotPath(dir.path(), w->id, w->profile, w->params);
+    std::string pristine;
+    ASSERT_TRUE(readFile(path, pristine));
+    // Magic, version, schema hash, scene, profile and render params.
+    const size_t at = 8 + 4 + 8 + 1 + 1 + 4 * 4 + 1 + 8;
+    uint64_t stored = 0;
+    std::memcpy(&stored, pristine.data() + at, sizeof stored);
+    ASSERT_EQ(stored, w->scene_hash);
+    for (int bit : {0, 37, 63}) {
+        std::string flipped = pristine;
+        flipped[at + bit / 8] =
+            static_cast<char>(flipped[at + bit / 8] ^ (1 << (bit % 8)));
+        ASSERT_TRUE(writeFileAtomic(path, resealed(flipped)));
+        auto loaded = loadWorkloadSnapshot(dir.path(), w->id, w->profile,
+                                           w->params);
+        ASSERT_NE(loaded, nullptr) << "bit " << bit;
+        EXPECT_EQ(loaded->scene_hash, w->scene_hash ^ (1ull << bit));
+        EXPECT_DEATH(loaded->scene(), "regenerated with hash")
+            << "bit " << bit;
     }
 }
 

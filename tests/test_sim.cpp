@@ -49,7 +49,7 @@ SimResult
 simulate(const Workload &w, const WarpJobList &jobs, const GpuConfig &config)
 {
     TraversalTape tape =
-        buildTraversalTape(w.scene(), w.bvh, jobs, config.variant());
+        buildTraversalTape(*w.scene(), w.bvh, jobs, config.variant());
     SimOptions options;
     options.tape = &tape;
     return simulateJobs(w.bvh, jobs, config, options);

@@ -2,9 +2,10 @@
  * @file
  * Tests for the workload snapshot cache: bit-exact round-trips (the
  * timing simulation over a reloaded workload must be counter-identical
- * to one over a freshly prepared workload), the scene a loaded workload
- * regenerates, corruption tolerance, the envelope checksum, and the
- * hit/miss/store accounting surfaced in the bench throughput records.
+ * to one over a freshly prepared workload), the scene leases a workload
+ * hands out and regenerates, corruption tolerance, the envelope
+ * checksum, and the hit/miss/store accounting surfaced in the bench
+ * throughput records.
  */
 
 #include <gtest/gtest.h>
@@ -176,6 +177,21 @@ TEST(EnvelopeSum, MatchesPublishedXxh64Values)
     EXPECT_EQ(xxh64("abc", 3), 0x44bc2cf5ad770999ull);
     const char *text = "Nobody inspects the spammish repetition";
     EXPECT_EQ(xxh64(text, std::strlen(text)), 0xfbcea83c8a378bf1ull);
+
+    // xxHash's own sanity vectors, which cover a nonzero seed: byte i
+    // of the buffer is the top byte of 2654435761 * 11400714785074694797^i.
+    unsigned char buffer[222];
+    uint64_t gen = 2654435761u;
+    for (unsigned char &byte : buffer) {
+        byte = static_cast<unsigned char>(gen >> 56);
+        gen *= 11400714785074694797ull;
+    }
+    const uint64_t seed = 2654435761u;
+    EXPECT_EQ(xxh64(buffer, 0, seed), 0xac75fda2929b17efull);
+    EXPECT_EQ(xxh64(buffer, 1, seed), 0x5014607643a9b4c3ull);
+    EXPECT_EQ(xxh64(buffer, 14, seed), 0xc3bd6bf63deb6df0ull);
+    EXPECT_EQ(xxh64(buffer, 222, 0), 0xb641ae8cb691c174ull);
+    EXPECT_EQ(xxh64(buffer, 222, seed), 0x20cb8ab7ae10c14aull);
 }
 
 TEST(EnvelopeSum, EveryBitFlipAndTruncationChangesTheSum)
@@ -239,27 +255,68 @@ TEST(WorkloadCache, ColdRunStoresWarmRunHits)
     EXPECT_EQ(simResultJson(*cold), simResultJson(*warm));
 }
 
-TEST(WorkloadCache, LoadedWorkloadRegeneratesItsSceneOnce)
+TEST(WorkloadCache, FreshAndLoadedWorkloadsRegenerateTheirScene)
 {
-    // A snapshot holds no scene. The loaded workload regenerates it on
-    // the first scene() call, equal to makeScene()'s, and only once; a
-    // freshly prepared workload never counts a rebuild.
+    // No workload keeps a scene: a freshly prepared one drops it at the
+    // end of set-up, and a snapshot never held one. Each regenerates it
+    // on its first scene() call, equal to makeScene()'s and exactly
+    // sized, and a lease that is alive is shared, not regenerated.
     TempCacheDir dir;
     ScopedEnv env("SMS_WORKLOAD_CACHE", dir.path().c_str());
     resetWorkloadCacheStats();
+    const Scene expected = makeScene(SceneId::WKND, ScaleProfile::Tiny);
     auto cold = prepareWorkload(SceneId::WKND, ScaleProfile::Tiny);
-    cold->scene();
     EXPECT_EQ(workloadCacheStats().scene_rebuilds, 0u);
+    EXPECT_EQ(cold->scene_hash, sceneHash(expected));
+    std::shared_ptr<const Scene> cold_scene = cold->scene();
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 1u);
+    expectSameScene(*cold_scene, expected);
 
     auto warm = prepareWorkload(SceneId::WKND, ScaleProfile::Tiny);
     ASSERT_EQ(workloadCacheStats().hits, 1u);
-    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 0u);
-    const Scene &scene = warm->scene();
+    EXPECT_EQ(warm->scene_hash, cold->scene_hash);
     EXPECT_EQ(workloadCacheStats().scene_rebuilds, 1u);
-    EXPECT_EQ(&warm->scene(), &scene);
-    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 1u);
-    expectSameScene(scene, makeScene(SceneId::WKND, ScaleProfile::Tiny));
+    std::shared_ptr<const Scene> scene = warm->scene();
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 2u);
+    EXPECT_EQ(warm->scene(), scene);
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 2u);
+    expectSameScene(*scene, expected);
+    EXPECT_EQ(scene->spheres().capacity(), scene->spheres().size());
+    EXPECT_EQ(scene->triangles().capacity(), 0u);
     EXPECT_EQ(simResultJson(*cold), simResultJson(*warm));
+}
+
+TEST(WorkloadCache, ConcurrentLeasesShareOneRegeneration)
+{
+    // Leases asked for from several threads at once share one
+    // regeneration. The last lease to drop frees the scene, and the
+    // next lease regenerates it.
+    ScopedEnv env("SMS_WORKLOAD_CACHE", nullptr);
+    auto w = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny);
+    const Scene expected = makeScene(SceneId::BUNNY, ScaleProfile::Tiny);
+    resetWorkloadCacheStats();
+    constexpr int kThreads = 4;
+    std::vector<std::shared_ptr<const Scene>> leases(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] { leases[t] = w->scene(); });
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 1u);
+    for (const auto &lease : leases)
+        EXPECT_EQ(lease, leases[0]);
+    expectSameScene(*leases[0], expected);
+    EXPECT_EQ(leases[0]->triangles().capacity(),
+              leases[0]->triangles().size());
+
+    std::weak_ptr<const Scene> watch = leases[0];
+    leases.pop_back();
+    EXPECT_FALSE(watch.expired());
+    leases.clear();
+    EXPECT_TRUE(watch.expired());
+    std::shared_ptr<const Scene> again = w->scene();
+    EXPECT_EQ(workloadCacheStats().scene_rebuilds, 2u);
+    expectSameScene(*again, expected);
 }
 
 TEST(WorkloadCache, DistinctKeysPerProfileAndParams)
